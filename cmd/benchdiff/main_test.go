@@ -135,7 +135,7 @@ func TestUsageAndBadInputExitTwo(t *testing.T) {
 // The committed repository snapshot must stay loadable and self-compare
 // clean — the exact invocation CI smokes.
 func TestCommittedSnapshotSelfCompares(t *testing.T) {
-	matches, err := filepath.Glob(filepath.Join("..", "..", "BENCH_*.json"))
+	matches, err := filepath.Glob(filepath.Join("..", "..", "bench", "BENCH_*.json"))
 	if err != nil || len(matches) == 0 {
 		t.Skip("no committed BENCH_*.json snapshot")
 	}

@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 
@@ -96,9 +97,15 @@ func canonicalSOS(sos fp.SOS) string {
 // its factory's Fingerprint (see NewOutcomeKey): keys of different
 // models never collide. A memo fed empty-Model keys must still only be
 // shared between calls using the same Factory.
+//
+// Entries are stored compactly: the key's strings are interned into
+// small ids, and the outcome is packed into two bytes, so a long-lived
+// service memo costs a fixed ~50 B per entry instead of a full
+// OutcomeKey plus its strings.
 type Memo struct {
 	mu           sync.Mutex
-	m            map[OutcomeKey]Outcome
+	m            map[memoKey]packedOutcome
+	ids          map[string]uint32
 	hits, misses uint64
 
 	// journal, when non-nil, receives every newly stored entry — the
@@ -106,9 +113,54 @@ type Memo struct {
 	journal func(OutcomeKey, Outcome)
 }
 
+// memoKey is an OutcomeKey with its strings replaced by intern ids. The
+// floats stay floats, so ±0 and NaN compare exactly as in OutcomeKey.
+type memoKey struct {
+	model, site, nets, sos uint32
+	openID                 int
+	rdef, u                float64
+}
+
+// packedOutcome holds an Outcome's F and R in one byte each.
+type packedOutcome [2]uint8
+
+func pack(out Outcome) packedOutcome {
+	if !out.Valid() {
+		panic(fmt.Sprintf("analysis: memo: outcome %+v out of range", out))
+	}
+	return packedOutcome{uint8(out.F), uint8(out.R)}
+}
+
+func (p packedOutcome) unpack() Outcome {
+	return Outcome{F: int(p[0]), R: fp.ReadResult(p[1])}
+}
+
 // NewMemo returns an empty outcome cache.
 func NewMemo() *Memo {
-	return &Memo{m: map[OutcomeKey]Outcome{}}
+	return &Memo{m: map[memoKey]packedOutcome{}, ids: map[string]uint32{}}
+}
+
+// key maps k to its compact form. With intern set it assigns ids to new
+// strings; otherwise it reports false when a string has never been
+// stored, in which case no entry can match k.
+func (mm *Memo) key(k OutcomeKey, intern bool) (memoKey, bool) {
+	var ids [4]uint32
+	for i, s := range [4]string{string(k.Model), k.Site, k.Nets, k.SOS} {
+		id, ok := mm.ids[s]
+		if !ok {
+			if !intern {
+				return memoKey{}, false
+			}
+			if len(mm.ids) == math.MaxUint32 {
+				panic("analysis: memo: intern table full")
+			}
+			id = uint32(len(mm.ids))
+			mm.ids[s] = id
+		}
+		ids[i] = id
+	}
+	return memoKey{model: ids[0], site: ids[1], nets: ids[2], sos: ids[3],
+		openID: k.OpenID, rdef: k.RDef, u: k.U}, true
 }
 
 // Journal installs a write-through hook invoked (under the memo lock,
@@ -124,32 +176,40 @@ func (mm *Memo) Journal(fn func(OutcomeKey, Outcome)) {
 // touching the hit/miss counters — used to warm the memo from a
 // persistent log.
 func (mm *Memo) Preload(k OutcomeKey, out Outcome) {
+	p := pack(out)
 	mm.mu.Lock()
 	defer mm.mu.Unlock()
-	mm.m[k] = out
+	mk, _ := mm.key(k, true)
+	mm.m[mk] = p
 }
 
 // Lookup returns the cached outcome for the key, if present.
 func (mm *Memo) Lookup(k OutcomeKey) (Outcome, bool) {
 	mm.mu.Lock()
 	defer mm.mu.Unlock()
-	out, ok := mm.m[k]
+	var p packedOutcome
+	mk, ok := mm.key(k, false)
 	if ok {
-		mm.hits++
-	} else {
-		mm.misses++
+		p, ok = mm.m[mk]
 	}
-	return out, ok
+	if !ok {
+		mm.misses++
+		return Outcome{}, false
+	}
+	mm.hits++
+	return p.unpack(), true
 }
 
 // Store records an outcome. Later stores of the same key are idempotent
 // by construction (deterministic simulation), so no precedence rule is
 // needed; the journal only fires for keys not already present.
 func (mm *Memo) Store(k OutcomeKey, out Outcome) {
+	p := pack(out)
 	mm.mu.Lock()
 	defer mm.mu.Unlock()
-	_, existed := mm.m[k]
-	mm.m[k] = out
+	mk, _ := mm.key(k, true)
+	_, existed := mm.m[mk]
+	mm.m[mk] = p
 	if mm.journal != nil && !existed {
 		mm.journal(k, out)
 	}

@@ -207,6 +207,12 @@ type Outcome struct {
 	R fp.ReadResult
 }
 
+// Valid reports whether the outcome is one a simulation can produce: a
+// victim bit of 0 or 1, and a read result of RNone, R0 or R1.
+func (o Outcome) Valid() bool {
+	return (o.F == 0 || o.F == 1) && (o.R == fp.RNone || o.R == fp.R0 || o.R == fp.R1)
+}
+
 // RunSOS applies the SOS to a freshly built defective memory following
 // the paper's protocol: establish the initial state, overwrite the
 // floating nets with u, apply the operations, observe (F, R). Memories

@@ -23,6 +23,8 @@ type OutcomeLog struct {
 	memo *analysis.Memo
 
 	replayed, skipped int
+	// writeErrors counts journal appends that failed to reach the file.
+	writeErrors uint64
 }
 
 // logRecord is the JSONL line schema.
@@ -35,8 +37,9 @@ type logRecord struct {
 // seeding neither journals nor skews hit counters) and then attaches
 // itself as the memo's write-through journal: every outcome the memo
 // newly records is appended to the log. A torn final line — a crash
-// mid-append — is skipped, not fatal; fully corrupt interior lines are
-// skipped and counted too.
+// mid-append — is skipped, not fatal; fully corrupt interior lines, and
+// lines whose outcome no simulation can produce, are skipped and counted
+// too.
 func OpenOutcomeLog(path string, memo *analysis.Memo) (*OutcomeLog, error) {
 	l := &OutcomeLog{memo: memo}
 	if existing, err := os.Open(path); err == nil {
@@ -48,7 +51,7 @@ func OpenOutcomeLog(path string, memo *analysis.Memo) (*OutcomeLog, error) {
 				continue
 			}
 			var rec logRecord
-			if err := json.Unmarshal(line, &rec); err != nil {
+			if err := json.Unmarshal(line, &rec); err != nil || !rec.Outcome.Valid() {
 				l.skipped++
 				continue
 			}
@@ -84,8 +87,19 @@ func (l *OutcomeLog) append(k analysis.OutcomeKey, out analysis.Outcome) {
 	}
 	// An append error must not fail the simulation that produced the
 	// outcome — the memo entry is already live; the log just loses
-	// persistence for this record.
-	_ = l.enc.Encode(logRecord{Key: k, Outcome: out})
+	// persistence for this record, and the loss is counted.
+	if err := l.enc.Encode(logRecord{Key: k, Outcome: out}); err != nil {
+		l.writeErrors++
+	}
+}
+
+// WriteErrors reports how many journal appends failed since open: each
+// is an outcome that is served from the memo but will not survive a
+// restart.
+func (l *OutcomeLog) WriteErrors() uint64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.writeErrors
 }
 
 // Replayed reports how many records seeded the memo at open, and how

@@ -1,6 +1,8 @@
 package store
 
 import (
+	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -370,5 +372,68 @@ func TestOutcomeLogTornTail(t *testing.T) {
 	}
 	if out, ok := memo2.Lookup(k); !ok || out.F != 1 {
 		t.Fatalf("complete record lost: ok=%v out=%+v", ok, out)
+	}
+}
+
+// failingWriter rejects every write, like a full or yanked disk.
+type failingWriter struct{}
+
+func (failingWriter) Write([]byte) (int, error) { return 0, errors.New("disk full") }
+
+// TestOutcomeLogCountsWriteErrors: a journal append that fails must be
+// counted, and the outcome must still be served from the memo.
+func TestOutcomeLogCountsWriteErrors(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "outcomes.jsonl")
+	memo := analysis.NewMemo()
+	l, err := OpenOutcomeLog(path, memo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	open, _ := firstOpenWithFloat(t)
+	sos := fp.NewSOS(fp.Init1, fp.R(1))
+	k1 := analysis.NewOutcomeKey("behav:x", open, 1e5, []string{"BT"}, 1.0, sos)
+	k2 := analysis.NewOutcomeKey("behav:x", open, 1e5, []string{"BT"}, 2.0, sos)
+
+	l.enc = json.NewEncoder(failingWriter{})
+	memo.Store(k1, analysis.Outcome{F: 1, R: fp.R1})
+	memo.Store(k2, analysis.Outcome{F: 0, R: fp.R0})
+	memo.Store(k1, analysis.Outcome{F: 1, R: fp.R1}) // not new: no append
+	if got := l.WriteErrors(); got != 2 {
+		t.Fatalf("WriteErrors = %d, want 2", got)
+	}
+	if out, ok := memo.Lookup(k1); !ok || out != (analysis.Outcome{F: 1, R: fp.R1}) {
+		t.Fatalf("outcome not served after a failed append: ok=%v out=%+v", ok, out)
+	}
+}
+
+// TestOutcomeLogSkipsOutOfRangeOutcomes: a record whose outcome no
+// simulation can produce is skipped and counted at replay, not loaded.
+func TestOutcomeLogSkipsOutOfRangeOutcomes(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "outcomes.jsonl")
+	open, _ := firstOpenWithFloat(t)
+	k := analysis.NewOutcomeKey("behav:x", open, 1e5, []string{"BT"}, 1.0, fp.NewSOS(fp.Init1, fp.R(1)))
+	var lines []byte
+	for _, out := range []analysis.Outcome{{F: 1, R: fp.R1}, {F: 7}, {F: 0, R: fp.ReadResult(9)}} {
+		b, err := json.Marshal(logRecord{Key: k, Outcome: out})
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines = append(append(lines, b...), '\n')
+	}
+	if err := os.WriteFile(path, lines, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	memo := analysis.NewMemo()
+	l, err := OpenOutcomeLog(path, memo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	if replayed, skipped := l.Replayed(); replayed != 1 || skipped != 2 {
+		t.Fatalf("replayed=%d skipped=%d, want 1/2", replayed, skipped)
+	}
+	if out, ok := memo.Lookup(k); !ok || out != (analysis.Outcome{F: 1, R: fp.R1}) {
+		t.Fatalf("valid record not served: ok=%v out=%+v", ok, out)
 	}
 }

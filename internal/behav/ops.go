@@ -27,50 +27,70 @@ type phase struct {
 // simultaneous competition — e.g. the write driver overpowering the
 // sense amplifier — by conductance ratio, like the electrical model.
 //
-// The phase's resistive topology is compiled once per call into a term
-// program with all static conductances (and the per-step C/dt factors)
-// precomputed, so the inner step loop runs no divisions for static
-// terms. Compilation reads the live parameters and site resistances, so
-// there is no cache to invalidate; the term order matches the legacy
-// step() exactly, keeping every accumulation — and therefore every
-// result bit — identical.
+// The phase's coefficients are loaded once per call (see kernel); the
+// step loop then runs straight-line code over the fixed topology.
 func (m *Model) run(dur float64, ph phase) {
 	steps := int(dur/m.P.DT + 0.5)
 	if steps < 1 {
 		steps = 1
 	}
 	dt := dur / float64(steps)
-	m.compile(ph, dt)
+	var k kernel
+	k.load(m, ph, dt)
+	var buf [numNodes]float64
+	cur, next := &m.v, &buf
 	for s := 0; s < steps; s++ {
-		m.stepProg(dt)
+		k.step(cur, next)
+		cur, next = next, cur
+		m.time += dt
 	}
+	m.v = *cur
 }
 
-// termKind discriminates the compiled step-program entries.
-type termKind uint8
+// kernel is the per-phase coefficient block of the step: every static
+// conductance of the column's fixed topology, with the source voltages
+// its source terms pull towards. A term the phase leaves out keeps
+// g = 0. Only the victim access device (gate-voltage dependent) and the
+// sense amplifier (sign dependent) are evaluated per step.
+//
+// step sums each node's contributions in a fixed per-node order, one
+// acc += g·x statement per term, starting from +0. A sum that starts
+// from +0 never becomes -0 under round-to-nearest, so an absent term
+// (g = 0, adding ±0 for a finite x) leaves it bit-identical to a sum that
+// never saw the term. The per-node order is the one the reference
+// integrator in oracle_test.go accumulates in, term for term, so targets
+// that fuse multiply-add fuse both alike; TestKernelMatchesOracle pins
+// the two bit for bit.
+type kernel struct {
+	gc  [numNodes]float64 // C/dt
+	den [numNodes]float64 // C/dt + Σ g, for nodes without dynamic terms
 
-const (
-	tPair   termKind = iota // static resistive pair: a—b with conductance g
-	tSrc                    // static source: node a pulled to vs with conductance g
-	tVictim                 // victim access device (gate-voltage dependent)
-	tSense                  // rule-based sense amplifier (sign dependent)
-)
+	gGate, vGate           float64 // word-line driver through Open 9
+	gBT4, gBT5, gBT6, gBT8 float64 // BT chain through Opens 4, 5, 6, 8
+	gBC                    float64 // BC chain segments (wire floor)
+	gPreT, gPreC, vPre     float64 // precharge (Open 3 on BT)
+	gRefC, gRefT, vRef     float64 // reference-cell restore (Open 2 on BC)
+	gWL1, gDWLC            float64 // aggressor and reference word lines
+	gCSL                   float64 // column select
+	gWD, vWDT, vWDC        float64 // write driver on IO and IOB
+	gRen                   float64 // output switch
+	gCellGnd               float64 // cell 0 short to ground
+	gBLVdd, vdd            float64 // BT short to VDD
+	gBLBL, gCells          float64 // BT–BC and cell–cell bridges
 
-// term is one entry of the compiled per-phase step program.
-type term struct {
-	kind termKind
-	a, b int
-	g    float64
-	vs   float64
+	// Victim access device: RAccess/frac + Open 1; gVicOn at frac = 1.
+	rAccess, rOpen1, vonSpan, gVicOn float64
+	// Sense amplifier: pull-up RSA, pull-down RSA + Open 7.
+	sen            bool
+	gUp, gDown     float64
+	vOffset        float64
+	gBTCell, gBTSA float64 // static conductance sums ahead of the
+	gBCSA          float64 // per-step term on those nodes
 }
 
-// compile lowers the phase's resistive topology into m.prog, precomputing
-// every static conductance, and fills m.gcDt with the per-node C/dt
-// factors for the update. Terms appear in exactly the order the legacy
-// step() accumulates them; only the victim access device and the sense
-// amplifier stay dynamic (they depend on per-step voltages) and read the
-// live parameters when executed.
-func (m *Model) compile(ph phase, dt float64) {
+// load fills the coefficient block from the live parameters and site
+// resistances, so there is nothing to invalidate between runs.
+func (k *kernel) load(m *Model, ph phase, dt float64) {
 	t := m.P.Tech
 	rw := m.P.RWire
 	site := func(i int) float64 {
@@ -79,236 +99,218 @@ func (m *Model) compile(ph phase, dt float64) {
 		}
 		return rw
 	}
-	p := m.prog[:0]
-	addPair := func(a, b int, r float64) { p = append(p, term{kind: tPair, a: a, b: b, g: 1 / r}) }
-	addSrc := func(a int, vs, r float64) { p = append(p, term{kind: tSrc, a: a, g: 1 / r, vs: vs}) }
 
-	wlTarget := 0.0
+	k.gGate = 1 / (m.sites[sOpen9] + 100)
 	if ph.wl0 {
-		wlTarget = t.VPP
+		k.vGate = t.VPP
 	}
-	addSrc(nWL0Gate, wlTarget, m.sites[sOpen9]+100)
-
-	addPair(nBTPre, nBTCell, site(sOpen4))
-	addPair(nBTCell, nBTRef, site(sOpen5))
-	addPair(nBTRef, nBTSA, site(sOpen6))
-	addPair(nBTSA, nBTIO, site(sOpen8))
-	addPair(nBCPre, nBCCell, rw)
-	addPair(nBCCell, nBCRef, rw)
-	addPair(nBCRef, nBCSA, rw)
-	addPair(nBCSA, nBCIO, rw)
-
+	k.gBT4 = 1 / site(sOpen4)
+	k.gBT5 = 1 / site(sOpen5)
+	k.gBT6 = 1 / site(sOpen6)
+	k.gBT8 = 1 / site(sOpen8)
+	k.gBC = 1 / rw
+	k.vPre, k.vRef, k.vdd = t.VBLEQ, t.VRefCell, t.VDD
 	if ph.pre {
-		addSrc(nBTPre, t.VBLEQ, m.P.RPre+m.sites[sOpen3])
-		addSrc(nBCPre, t.VBLEQ, m.P.RPre)
+		k.gPreT = 1 / (m.P.RPre + m.sites[sOpen3])
+		k.gPreC = 1 / m.P.RPre
 	}
 	if ph.dref {
-		addSrc(nRefC, t.VRefCell, m.P.RAccess+m.sites[sOpen2])
-		addSrc(nRefT, t.VRefCell, m.P.RAccess)
-	}
-
-	p = append(p, term{kind: tVictim})
-	if ph.wl1 {
-		addPair(nBTCell, nCell1, m.P.RAccess)
-	}
-	if ph.dwlc {
-		addPair(nBCRef, nRefC, m.P.RAccess+m.sites[sOpen2])
-	}
-	if ph.sen {
-		p = append(p, term{kind: tSense})
-	}
-
-	if ph.csl {
-		addPair(nBTIO, nIO, m.P.RCSL)
-		addPair(nBCIO, nIOB, m.P.RCSL)
-	}
-	if ph.wen {
-		hi, lo := 0.0, t.VDD
-		if ph.wdata == 1 {
-			hi, lo = t.VDD, 0
-		}
-		addSrc(nIO, hi, t.RWriteDriver)
-		addSrc(nIOB, lo, t.RWriteDriver)
-	}
-	if ph.ren {
-		addPair(nIO, nOutBuf, t.ROutSwitch)
-	}
-
-	addSrc(nCell0, 0, m.sites[sShortCellGnd])
-	addSrc(nBTCell, t.VDD, m.sites[sShortBLVdd])
-	addPair(nBTCell, nBCCell, m.sites[sBridgeBLBL])
-	addPair(nCell0, nCell1, m.sites[sBridgeCells])
-
-	m.prog = p
-	for n := 0; n < numNodes; n++ {
-		m.gcDt[n] = m.cap[n] / dt
-	}
-}
-
-// stepProg executes one Jacobi-implicit step of the compiled program.
-func (m *Model) stepProg(dt float64) {
-	for i := range m.accG {
-		m.accG[i] = 0
-		m.accGV[i] = 0
-	}
-	for i := range m.prog {
-		tm := &m.prog[i]
-		switch tm.kind {
-		case tPair:
-			g := tm.g
-			a, b := tm.a, tm.b
-			m.accG[a] += g
-			m.accGV[a] += g * m.v[b]
-			m.accG[b] += g
-			m.accGV[b] += g * m.v[a]
-		case tSrc:
-			a := tm.a
-			m.accG[a] += tm.g
-			m.accGV[a] += tm.g * tm.vs
-		case tVictim:
-			if frac := m.wlFraction(); frac > 1e-6 {
-				m.pair(nBTCell, nCell0, m.P.RAccess/frac+m.sites[sOpen1])
-			}
-		case tSense:
-			t := m.P.Tech
-			delta := m.v[nBTSA] - m.v[nBCSA] + m.P.VOffset
-			rDown := m.P.RSA + m.sites[sOpen7]
-			if delta >= 0 {
-				m.src(nBTSA, t.VDD, m.P.RSA)
-				m.src(nBCSA, 0, rDown)
-			} else {
-				m.src(nBCSA, t.VDD, m.P.RSA)
-				m.src(nBTSA, 0, rDown)
-			}
-		}
-	}
-	for n := 0; n < numNodes; n++ {
-		gc := m.gcDt[n]
-		m.v[n] = (gc*m.v[n] + m.accGV[n]) / (gc + m.accG[n])
-	}
-	m.time += dt
-}
-
-// pair accumulates a resistive connection between nodes a and b.
-func (m *Model) pair(a, b int, r float64) {
-	g := 1 / r
-	va, vb := m.v[a], m.v[b]
-	m.accG[a] += g
-	m.accGV[a] += g * vb
-	m.accG[b] += g
-	m.accGV[b] += g * va
-}
-
-// src accumulates a resistive connection from node a to a fixed source.
-func (m *Model) src(a int, vs, r float64) {
-	g := 1 / r
-	m.accG[a] += g
-	m.accGV[a] += g * vs
-}
-
-func (m *Model) step(dt float64, ph phase) {
-	t := m.P.Tech
-	rw := m.P.RWire
-	site := func(i int) float64 {
-		if r := m.sites[i]; r > rw {
-			return r
-		}
-		return rw
-	}
-	for i := range m.accG {
-		m.accG[i] = 0
-		m.accGV[i] = 0
-	}
-
-	// Word-line gate follows its driver through the Open 9 site.
-	wlTarget := 0.0
-	if ph.wl0 {
-		wlTarget = t.VPP
-	}
-	m.src(nWL0Gate, wlTarget, m.sites[sOpen9]+100)
-
-	// Bit-line chains (Open 4, 5, 6, 8 sites on BT).
-	m.pair(nBTPre, nBTCell, site(sOpen4))
-	m.pair(nBTCell, nBTRef, site(sOpen5))
-	m.pair(nBTRef, nBTSA, site(sOpen6))
-	m.pair(nBTSA, nBTIO, site(sOpen8))
-	m.pair(nBCPre, nBCCell, rw)
-	m.pair(nBCCell, nBCRef, rw)
-	m.pair(nBCRef, nBCSA, rw)
-	m.pair(nBCSA, nBCIO, rw)
-
-	if ph.pre {
-		m.src(nBTPre, t.VBLEQ, m.P.RPre+m.sites[sOpen3])
-		m.src(nBCPre, t.VBLEQ, m.P.RPre)
-	}
-	if ph.dref {
-		m.src(nRefC, t.VRefCell, m.P.RAccess+m.sites[sOpen2])
-		m.src(nRefT, t.VRefCell, m.P.RAccess)
-	}
-
-	// Victim access device: conductance scales with the (possibly
-	// floating) gate voltage; in series with the Open 1 site.
-	if frac := m.wlFraction(); frac > 1e-6 {
-		m.pair(nBTCell, nCell0, m.P.RAccess/frac+m.sites[sOpen1])
+		k.gRefC = 1 / (m.P.RAccess + m.sites[sOpen2])
+		k.gRefT = 1 / m.P.RAccess
 	}
 	if ph.wl1 {
-		m.pair(nBTCell, nCell1, m.P.RAccess)
+		k.gWL1 = 1 / m.P.RAccess
 	}
 	if ph.dwlc {
-		m.pair(nBCRef, nRefC, m.P.RAccess+m.sites[sOpen2])
+		k.gDWLC = 1 / (m.P.RAccess + m.sites[sOpen2])
 	}
-
-	if ph.sen {
-		// Rule-based regenerative sense amplifier with the Open 7 site
-		// in the pull-down (NMOS) path. The input-referred offset makes
-		// zero differential resolve to 1.
-		delta := m.v[nBTSA] - m.v[nBCSA] + m.P.VOffset
-		rDown := m.P.RSA + m.sites[sOpen7]
-		if delta >= 0 {
-			m.src(nBTSA, t.VDD, m.P.RSA)
-			m.src(nBCSA, 0, rDown)
-		} else {
-			m.src(nBCSA, t.VDD, m.P.RSA)
-			m.src(nBTSA, 0, rDown)
-		}
-	}
-
 	if ph.csl {
-		m.pair(nBTIO, nIO, m.P.RCSL)
-		m.pair(nBCIO, nIOB, m.P.RCSL)
+		k.gCSL = 1 / m.P.RCSL
 	}
 	if ph.wen {
-		hi, lo := 0.0, t.VDD
+		k.gWD = 1 / t.RWriteDriver
+		k.vWDT, k.vWDC = 0, t.VDD
 		if ph.wdata == 1 {
-			hi, lo = t.VDD, 0
+			k.vWDT, k.vWDC = t.VDD, 0
 		}
-		m.src(nIO, hi, t.RWriteDriver)
-		m.src(nIOB, lo, t.RWriteDriver)
 	}
 	if ph.ren {
-		m.pair(nIO, nOutBuf, t.ROutSwitch)
+		k.gRen = 1 / t.ROutSwitch
 	}
+	k.gCellGnd = 1 / m.sites[sShortCellGnd]
+	k.gBLVdd = 1 / m.sites[sShortBLVdd]
+	k.gBLBL = 1 / m.sites[sBridgeBLBL]
+	k.gCells = 1 / m.sites[sBridgeCells]
 
-	// Short/bridge sites (negligible conductance when healthy).
-	m.src(nCell0, 0, m.sites[sShortCellGnd])
-	m.src(nBTCell, t.VDD, m.sites[sShortBLVdd])
-	m.pair(nBTCell, nBCCell, m.sites[sBridgeBLBL])
-	m.pair(nCell0, nCell1, m.sites[sBridgeCells])
-
-	// Jacobi-implicit nodal update.
-	for n := 0; n < numNodes; n++ {
-		gc := m.cap[n] / dt
-		m.v[n] = (gc*m.v[n] + m.accGV[n]) / (gc + m.accG[n])
-	}
-	m.time += dt
-}
-
-// wlFraction maps the victim's gate voltage to an access-conductance
-// fraction in [0,1].
-func (m *Model) wlFraction() float64 {
-	t := m.P.Tech
 	von := m.P.WLOnFraction * t.VPP
-	return numeric.Clamp((m.v[nWL0Gate]-1.0)/(von-1.0), 0, 1)
+	k.rAccess, k.rOpen1, k.vonSpan = m.P.RAccess, m.sites[sOpen1], von-1.0
+	k.gVicOn = 1 / (k.rAccess/1 + k.rOpen1)
+	k.sen = ph.sen
+	k.gUp = 1 / m.P.RSA
+	k.gDown = 1 / (m.P.RSA + m.sites[sOpen7])
+	k.vOffset = m.P.VOffset
+
+	for n := range k.gc {
+		k.gc[n] = m.cap[n] / dt
+	}
+	sum := func(n int, gs ...float64) {
+		g := 0.0
+		for _, x := range gs {
+			g += x
+		}
+		k.den[n] = k.gc[n] + g
+	}
+	sum(nWL0Gate, k.gGate)
+	sum(nBTPre, k.gBT4, k.gPreT)
+	sum(nBTRef, k.gBT5, k.gBT6)
+	sum(nBTIO, k.gBT8, k.gCSL)
+	sum(nBCPre, k.gBC, k.gPreC)
+	sum(nBCCell, k.gBC, k.gBC, k.gBLBL)
+	sum(nBCRef, k.gBC, k.gBC, k.gDWLC)
+	sum(nBCIO, k.gBC, k.gCSL)
+	sum(nCell1, k.gWL1, k.gCells)
+	sum(nRefC, k.gRefC, k.gDWLC)
+	sum(nRefT, k.gRefT)
+	sum(nIO, k.gCSL, k.gWD, k.gRen)
+	sum(nIOB, k.gCSL, k.gWD)
+	sum(nOutBuf, k.gRen)
+	k.gBTCell = k.gBT4 + k.gBT5
+	k.gBTSA = k.gBT6 + k.gBT8
+	k.gBCSA = k.gBC + k.gBC
+}
+
+// step writes to x the node voltages one Jacobi-implicit step after v;
+// x and v must not alias.
+func (k *kernel) step(v, x *[numNodes]float64) {
+	// Victim access device: its conductance follows the (possibly
+	// floating) gate voltage, in series with the Open 1 site.
+	gVic := 0.0
+	switch frac := numeric.Clamp((v[nWL0Gate]-1.0)/k.vonSpan, 0, 1); {
+	case frac >= 1: // fully on; RAccess/1 is exact, so gVicOn is the same value
+		gVic = k.gVicOn
+	case frac > 1e-6:
+		gVic = 1 / (k.rAccess/frac + k.rOpen1)
+	}
+	// Rule-based regenerative sense amplifier with the Open 7 site in
+	// the pull-down path. The input-referred offset makes zero
+	// differential resolve to 1.
+	var gSAT, vSAT, gSAC, vSAC float64
+	if k.sen {
+		if v[nBTSA]-v[nBCSA]+k.vOffset >= 0 {
+			gSAT, vSAT, gSAC = k.gUp, k.vdd, k.gDown
+		} else {
+			gSAC, vSAC, gSAT = k.gUp, k.vdd, k.gDown
+		}
+	}
+
+	var gv, g float64
+
+	gv = 0
+	gv += k.gGate * k.vGate
+	x[nWL0Gate] = (k.gc[nWL0Gate]*v[nWL0Gate] + gv) / k.den[nWL0Gate]
+
+	gv = 0
+	gv += k.gBT4 * v[nBTCell]
+	gv += k.gPreT * k.vPre
+	x[nBTPre] = (k.gc[nBTPre]*v[nBTPre] + gv) / k.den[nBTPre]
+
+	gv, g = 0, k.gBTCell
+	gv += k.gBT4 * v[nBTPre]
+	gv += k.gBT5 * v[nBTRef]
+	gv += gVic * v[nCell0]
+	g += gVic
+	gv += k.gWL1 * v[nCell1]
+	g += k.gWL1
+	gv += k.gBLVdd * k.vdd
+	g += k.gBLVdd
+	gv += k.gBLBL * v[nBCCell]
+	g += k.gBLBL
+	x[nBTCell] = (k.gc[nBTCell]*v[nBTCell] + gv) / (k.gc[nBTCell] + g)
+
+	gv = 0
+	gv += k.gBT5 * v[nBTCell]
+	gv += k.gBT6 * v[nBTSA]
+	x[nBTRef] = (k.gc[nBTRef]*v[nBTRef] + gv) / k.den[nBTRef]
+
+	gv, g = 0, k.gBTSA
+	gv += k.gBT6 * v[nBTRef]
+	gv += k.gBT8 * v[nBTIO]
+	gv += gSAT * vSAT
+	g += gSAT
+	x[nBTSA] = (k.gc[nBTSA]*v[nBTSA] + gv) / (k.gc[nBTSA] + g)
+
+	gv = 0
+	gv += k.gBT8 * v[nBTSA]
+	gv += k.gCSL * v[nIO]
+	x[nBTIO] = (k.gc[nBTIO]*v[nBTIO] + gv) / k.den[nBTIO]
+
+	gv = 0
+	gv += k.gBC * v[nBCCell]
+	gv += k.gPreC * k.vPre
+	x[nBCPre] = (k.gc[nBCPre]*v[nBCPre] + gv) / k.den[nBCPre]
+
+	gv = 0
+	gv += k.gBC * v[nBCPre]
+	gv += k.gBC * v[nBCRef]
+	gv += k.gBLBL * v[nBTCell]
+	x[nBCCell] = (k.gc[nBCCell]*v[nBCCell] + gv) / k.den[nBCCell]
+
+	gv = 0
+	gv += k.gBC * v[nBCCell]
+	gv += k.gBC * v[nBCSA]
+	gv += k.gDWLC * v[nRefC]
+	x[nBCRef] = (k.gc[nBCRef]*v[nBCRef] + gv) / k.den[nBCRef]
+
+	gv, g = 0, k.gBCSA
+	gv += k.gBC * v[nBCRef]
+	gv += k.gBC * v[nBCIO]
+	gv += gSAC * vSAC
+	g += gSAC
+	x[nBCSA] = (k.gc[nBCSA]*v[nBCSA] + gv) / (k.gc[nBCSA] + g)
+
+	gv = 0
+	gv += k.gBC * v[nBCSA]
+	gv += k.gCSL * v[nIOB]
+	x[nBCIO] = (k.gc[nBCIO]*v[nBCIO] + gv) / k.den[nBCIO]
+
+	// The ground short pulls towards 0 V: its g·0 term would add +0,
+	// which leaves the sum unchanged, so only its conductance is added.
+	gv, g = 0, 0
+	gv += gVic * v[nBTCell]
+	g += gVic
+	g += k.gCellGnd
+	gv += k.gCells * v[nCell1]
+	g += k.gCells
+	x[nCell0] = (k.gc[nCell0]*v[nCell0] + gv) / (k.gc[nCell0] + g)
+
+	gv = 0
+	gv += k.gWL1 * v[nBTCell]
+	gv += k.gCells * v[nCell0]
+	x[nCell1] = (k.gc[nCell1]*v[nCell1] + gv) / k.den[nCell1]
+
+	gv = 0
+	gv += k.gRefC * k.vRef
+	gv += k.gDWLC * v[nBCRef]
+	x[nRefC] = (k.gc[nRefC]*v[nRefC] + gv) / k.den[nRefC]
+
+	gv = 0
+	gv += k.gRefT * k.vRef
+	x[nRefT] = (k.gc[nRefT]*v[nRefT] + gv) / k.den[nRefT]
+
+	gv = 0
+	gv += k.gCSL * v[nBTIO]
+	gv += k.gWD * k.vWDT
+	gv += k.gRen * v[nOutBuf]
+	x[nIO] = (k.gc[nIO]*v[nIO] + gv) / k.den[nIO]
+
+	gv = 0
+	gv += k.gCSL * v[nBCIO]
+	gv += k.gWD * k.vWDC
+	x[nIOB] = (k.gc[nIOB]*v[nIOB] + gv) / k.den[nIOB]
+
+	gv = 0
+	gv += k.gRen * v[nIO]
+	x[nOutBuf] = (k.gc[nOutBuf]*v[nOutBuf] + gv) / k.den[nOutBuf]
 }
 
 // Precharge runs one precharge/equalize phase.

@@ -302,12 +302,7 @@ type MetricsResponse struct {
 		HitRate float64 `json:"hit_rate"`
 		Entries int     `json:"entries"`
 	} `json:"memo"`
-	Store *struct {
-		Hits   uint64 `json:"hits"`
-		Misses uint64 `json:"misses"`
-		Puts   uint64 `json:"puts"`
-		Len    int    `json:"len"`
-	} `json:"store,omitempty"`
+	Store *StoreMetrics `json:"store,omitempty"`
 	// Trace reports traced-sweep work since boot: how many planes ran
 	// in traced mode, how many grid points were simulated vs inferred
 	// without simulation, and the resulting reduction factor.
@@ -330,6 +325,17 @@ type MetricsResponse struct {
 	Catalog string `json:"catalog"`
 }
 
+// StoreMetrics is the persistent-store block of /v1/metrics.
+type StoreMetrics struct {
+	Hits   uint64 `json:"hits"`
+	Misses uint64 `json:"misses"`
+	Puts   uint64 `json:"puts"`
+	Len    int    `json:"len"`
+	// JournalWriteErrors counts outcome-journal appends that failed:
+	// those outcomes were served but will not survive a restart.
+	JournalWriteErrors uint64 `json:"journal_write_errors"`
+}
+
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	var resp MetricsResponse
 	resp.Requests = map[string]uint64{}
@@ -347,12 +353,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if s.store != nil {
 		st := s.store.Stats()
 		n, _ := s.store.Len()
-		resp.Store = &struct {
-			Hits   uint64 `json:"hits"`
-			Misses uint64 `json:"misses"`
-			Puts   uint64 `json:"puts"`
-			Len    int    `json:"len"`
-		}{Hits: st.Hits, Misses: st.Misses, Puts: st.Puts, Len: n}
+		resp.Store = &StoreMetrics{Hits: st.Hits, Misses: st.Misses, Puts: st.Puts, Len: n,
+			JournalWriteErrors: s.outLog.WriteErrors()}
 	}
 	ts, planes := s.trace.Snapshot()
 	resp.Trace.Planes = planes

@@ -386,6 +386,9 @@ func TestMetrics(t *testing.T) {
 	if m.Store == nil || m.Store.Puts != 1 || m.Store.Hits != 1 {
 		t.Fatalf("store stats = %+v", m.Store)
 	}
+	if m.Store.JournalWriteErrors != 0 || !bytes.Contains(rec.Body.Bytes(), []byte(`"journal_write_errors":0`)) {
+		t.Fatalf("journal write errors not reported as 0: %s", rec.Body.Bytes())
+	}
 	if m.Memo.Misses == 0 {
 		t.Fatal("memo delta recorded no misses for the fresh sweep")
 	}
