@@ -81,9 +81,10 @@ func TestServeHealthzAndMatrix(t *testing.T) {
 }
 
 // TestServeTracedInventory drives the traced-sweep knob end to end
-// over HTTP: a traced inventory answers, the dense spelling of the
-// same request hits its store entry byte for byte, and /v1/metrics
-// reports the traced-sweep work.
+// over HTTP: a traced inventory answers, its repeat hits its store
+// entry byte for byte, the dense spelling of the same request does not
+// (the traced sweep can miss rows), and /v1/metrics reports the
+// traced-sweep work.
 func TestServeTracedInventory(t *testing.T) {
 	base := bootServer(t, "-store", t.TempDir())
 	grid := `"opens":[1],"rdefs":[1e3,1e4,1e5,1e6,1e7],"us":[0,0.66,1.32,1.98,2.64,3.3]`
@@ -110,12 +111,15 @@ func TestServeTracedInventory(t *testing.T) {
 	if cached {
 		t.Fatal("first traced request claims cached")
 	}
-	cached, dense := fetch(`{` + grid + `}`)
+	cached, again := fetch(`{"sweep":"traced",` + grid + `}`)
 	if !cached {
-		t.Fatal("dense request missed the traced store entry")
+		t.Fatal("repeated traced request missed its store entry")
 	}
-	if !bytes.Equal(traced, dense) {
-		t.Fatal("traced and dense payloads differ")
+	if !bytes.Equal(traced, again) {
+		t.Fatal("traced payload from the store differs from the fresh one")
+	}
+	if cached, _ := fetch(`{` + grid + `}`); cached {
+		t.Fatal("dense request was served the traced store entry")
 	}
 
 	resp, err := http.Get(base + "/v1/metrics")

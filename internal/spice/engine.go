@@ -9,7 +9,8 @@
 // physics the partial-fault paper studies).
 //
 // Three stacked optimizations make repeated solves cheap without
-// changing the physics (see DESIGN.md, "performance layer"):
+// changing a single bit of the results (see DESIGN.md, "performance
+// layer"):
 //
 //  1. Grounded-source elimination. Sources wired node-to-ground
 //     (circuit.GroundedSource) force their node voltage a priori; the
@@ -22,11 +23,17 @@
 //     stamp their matrix contribution once per dt regime into a cached
 //     static matrix that each Newton iteration copies; only nonlinear
 //     elements (MOSFETs, switches) restamp per iteration, and the
-//     linear right-hand side is rebuilt once per step.
-//  3. Newton bypass. The reduced matrix is compared bit-for-bit against
-//     the last factorized one (numeric.Workspace.FactorizeCached); when
-//     the Jacobian did not change between iterations the LU factors are
-//     reused.
+//     linear right-hand side is rebuilt once per step, folding in the
+//     pinned-source couplings over their nonzeros only.
+//  3. Pattern-locked sparse LU (numeric.Workspace.Factorize). The
+//     reduced column matrix has about 80 nonzeros of 625; the workspace
+//     records the pattern it sees (grow-only; 215–234 entries with
+//     natural-order fill), compiles the elimination over it, and skips
+//     only updates with a zero operand, in the dense order. That is
+//     exact while no row swap is needed, every multiplier is finite and
+//     no -0 enters the pattern; otherwise, and for right-hand sides
+//     holding -0 or non-finite values, the dense elimination runs
+//     instead (about 0.2% of factorizations over all simulated opens).
 package spice
 
 import (
@@ -117,19 +124,28 @@ type Engine struct {
 	stepB    []float64 // linear part of b for the current step
 
 	// Reduced system buffers. aRedS caches the reduced static matrix per
-	// dt regime; cStat holds the static couplings of free rows to pinned
-	// node columns (nFree × nPinned), folded into bRedBase each step so
-	// Newton iterations never revisit the full-size system.
+	// dt regime; the nonzero static couplings of free rows to pinned
+	// node columns are kept per dt regime as free row fi's run
+	// [cStart[fi], cStart[fi+1]) of (pinned index cPin, value cVal),
+	// folded into bRedBase each step so Newton iterations never revisit
+	// the full-size system.
 	aRedS    *numeric.Matrix
-	cStat    *numeric.Matrix
+	cStart   []int32
+	cPin     []int32
+	cVal     []float64
 	aRed     *numeric.Matrix
 	bRedBase []float64
 	bRed     []float64
 	xRed     []float64
 
-	// factorizations and bypasses count LU work for benchmarks.
-	factorizations uint64
-	bypasses       uint64
+	// dense forces the reference dense elimination and pinned-coupling
+	// fold; only tests set it.
+	dense bool
+
+	// ctx is the one stamp context, refilled by stampContext for each
+	// stamping pass: elements take it by pointer through an interface, so
+	// a fresh one per pass would be a heap allocation three times a step.
+	ctx circuit.StampContext
 }
 
 // NewEngine creates an engine for the circuit. The circuit must already
@@ -166,9 +182,7 @@ func NewEngine(ckt *circuit.Circuit, opts Options) (*Engine, error) {
 		e.bRedBase = make([]float64, nf)
 		e.bRed = make([]float64, nf)
 		e.xRed = make([]float64, nf)
-		if len(e.pinned) > 0 {
-			e.cStat = numeric.NewMatrix(nf, len(e.pinned))
-		}
+		e.cStart = make([]int32, nf+1)
 	}
 	return e, nil
 }
@@ -290,12 +304,7 @@ func (e *Engine) SetNodeVoltage(net string, v float64) {
 // Resistor.SetResistance during defect injection); waveform swaps on
 // sources do not require it, as the right-hand side is rebuilt each
 // step.
-func (e *Engine) InvalidateStamps() {
-	e.staticOK = false
-	if e.ws != nil {
-		e.ws.InvalidateCache()
-	}
-}
+func (e *Engine) InvalidateStamps() { e.staticOK = false }
 
 // Reset returns the engine to the state of a freshly constructed one:
 // zero solution vector, zero clock, element integration state cleared,
@@ -341,10 +350,11 @@ func (e *Engine) RestoreState(x []float64, t float64) {
 	}
 }
 
-// FactorizationCounts returns how many LU factorizations ran and how
-// many were bypassed because the Jacobian was unchanged.
-func (e *Engine) FactorizationCounts() (factorized, bypassed uint64) {
-	return e.factorizations, e.bypasses
+// stampContext installs c as the engine's stamp context and returns it.
+// The stamping passes run one after another, never nested.
+func (e *Engine) stampContext(c circuit.StampContext) *circuit.StampContext {
+	e.ctx = c
+	return &e.ctx
 }
 
 // refreshStatic rebuilds the cached static stamp when the dt regime
@@ -356,9 +366,9 @@ func (e *Engine) refreshStatic(dt float64) {
 		return
 	}
 	e.staticA.Zero()
-	ctx := &circuit.StampContext{
+	ctx := e.stampContext(circuit.StampContext{
 		A: e.staticA, Dt: dt, Trapezoidal: e.opts.Trapezoidal,
-	}
+	})
 	for _, el := range e.split {
 		el.StampStaticA(ctx)
 	}
@@ -367,19 +377,25 @@ func (e *Engine) refreshStatic(dt float64) {
 		e.staticA.Add(n, n, e.opts.Gmin)
 	}
 	// Project the full-size static stamp onto the reduced system once per
-	// regime: the free-by-free block and the couplings to pinned columns.
+	// regime: the free-by-free block and the nonzero couplings to pinned
+	// columns.
+	e.cPin, e.cVal = e.cPin[:0], e.cVal[:0]
 	for fi, gi := range e.free {
 		row := e.staticA.Row(gi)
 		rr := e.aRedS.Row(fi)
 		for fj, gj := range e.free {
 			rr[fj] = row[gj]
 		}
-		if e.cStat != nil {
-			cr := e.cStat.Row(fi)
-			for k, p := range e.pinned {
-				cr[k] = row[p.node-1]
+		e.cStart[fi] = int32(len(e.cPin))
+		for k, p := range e.pinned {
+			if c := row[p.node-1]; c != 0 {
+				e.cPin = append(e.cPin, int32(k))
+				e.cVal = append(e.cVal, c)
 			}
 		}
+	}
+	if nf := len(e.free); nf > 0 {
+		e.cStart[nf] = int32(len(e.cPin))
 	}
 	e.staticDt = dt
 	e.staticOK = true
@@ -391,11 +407,11 @@ func (e *Engine) buildStepB(xPrev []float64, dt float64) {
 	for i := range e.stepB {
 		e.stepB[i] = 0
 	}
-	ctx := &circuit.StampContext{
+	ctx := e.stampContext(circuit.StampContext{
 		B: e.stepB, XPrev: xPrev,
 		Dt: dt, Time: e.time,
 		Trapezoidal: e.opts.Trapezoidal,
-	}
+	})
 	for _, el := range e.split {
 		el.StampStepB(ctx)
 	}
@@ -406,17 +422,35 @@ func (e *Engine) buildStepB(xPrev []float64, dt float64) {
 	}
 	// Fold the step RHS and the static pinned couplings into the reduced
 	// base vector; each Newton iteration copies it and adds only the
-	// nonlinear contributions.
+	// nonlinear contributions. Skipping the zero couplings is exact: a
+	// skipped ±0 product can change the running sum only while it is -0,
+	// or make it NaN when a pinned voltage is not finite, and both cases
+	// take the full fold.
+	finite := true
+	for _, v := range e.pinnedV {
+		finite = finite && v-v == 0
+	}
 	for fi, gi := range e.free {
 		s := e.stepB[gi]
-		if e.cStat != nil {
-			cr := e.cStat.Row(fi)
-			for k := range e.pinned {
-				s -= cr[k] * e.pinnedV[k]
-			}
+		for t := e.cStart[fi]; t < e.cStart[fi+1]; t++ {
+			s -= e.cVal[t] * e.pinnedV[e.cPin[t]]
+		}
+		if !finite || e.dense || (s == 0 && math.Signbit(s)) {
+			s = e.foldDense(gi)
 		}
 		e.bRedBase[fi] = s
 	}
+}
+
+// foldDense is the reference fold of the pinned couplings of global row
+// gi over every pinned column.
+func (e *Engine) foldDense(gi int) float64 {
+	row := e.staticA.Row(gi)
+	s := e.stepB[gi]
+	for k, p := range e.pinned {
+		s -= row[p.node-1] * e.pinnedV[k]
+	}
+	return s
 }
 
 // newtonSolve iterates to convergence starting from guess, with xPrev as
@@ -436,14 +470,14 @@ func (e *Engine) newtonSolve(guess, xPrev []float64, dt float64) error {
 	// Nonlinear elements stamp straight into the reduced system through
 	// the RowMap/PinnedX indirection; the full-size matrix is never
 	// touched inside the Newton loop.
-	ctx := &circuit.StampContext{
+	ctx := e.stampContext(circuit.StampContext{
 		A: e.aRed, B: e.bRed,
 		X: xIter, XPrev: xPrev,
 		Dt: dt, Time: e.time,
 		Trapezoidal: e.opts.Trapezoidal,
 		RowMap:      e.rowMap,
 		PinnedX:     e.pinnedX,
-	}
+	})
 	for iter := 0; iter < e.opts.MaxNewtonIter; iter++ {
 		if len(e.free) > 0 {
 			e.aRed.CopyFrom(e.aRedS)
@@ -451,14 +485,14 @@ func (e *Engine) newtonSolve(guess, xPrev []float64, dt float64) error {
 			for _, el := range e.dynamic {
 				el.Stamp(ctx)
 			}
-			reused, err := e.ws.FactorizeCached(e.aRed)
+			var err error
+			if e.dense {
+				err = e.ws.FactorizeDense(e.aRed)
+			} else {
+				err = e.ws.Factorize(e.aRed)
+			}
 			if err != nil {
 				return fmt.Errorf("spice: %w (iteration %d)", err, iter)
-			}
-			if reused {
-				e.bypasses++
-			} else {
-				e.factorizations++
 			}
 			e.ws.Solve(e.bRed, e.xRed)
 			for fi, gi := range e.free {
@@ -510,11 +544,11 @@ func (e *Engine) Step(dt float64) error {
 	}
 	if len(e.committers) > 0 {
 		// Let stateful elements (trapezoidal capacitors) record the step.
-		ctx := &circuit.StampContext{
+		ctx := e.stampContext(circuit.StampContext{
 			X: e.x, XPrev: xPrev,
 			Dt: dt, Time: e.time,
 			Trapezoidal: e.opts.Trapezoidal,
-		}
+		})
 		for _, cm := range e.committers {
 			cm.Commit(ctx)
 		}
