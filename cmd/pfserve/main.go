@@ -30,6 +30,7 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"time"
 
 	"github.com/memtest/partialfaults/internal/service"
 )
@@ -69,7 +70,12 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 	if ready != nil {
 		ready <- ln.Addr().String()
 	}
-	if err := http.Serve(ln, srv); err != nil {
+	hs := &http.Server{
+		Handler:           srv,
+		ReadHeaderTimeout: 10 * time.Second,
+		IdleTimeout:       2 * time.Minute,
+	}
+	if err := hs.Serve(ln); err != nil {
 		fmt.Fprintf(stderr, "pfserve: %v\n", err)
 		return 1
 	}

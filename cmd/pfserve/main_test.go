@@ -9,6 +9,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"github.com/memtest/partialfaults/internal/service"
 )
 
 // bootServer starts pfserve on an ephemeral port and returns its base
@@ -289,5 +291,20 @@ func TestConcurrentDuplicatesCollapse(t *testing.T) {
 	}
 	if m.SingleflightCollapsed == 0 {
 		t.Fatal("no requests collapsed — singleflight did not engage")
+	}
+}
+
+// TestServeRejectsOversizedBody drives the body bound over a real
+// connection: a body past service.MaxBodyBytes gets 413.
+func TestServeRejectsOversizedBody(t *testing.T) {
+	base := bootServer(t)
+	body := `{"opens":[1]` + strings.Repeat(" ", service.MaxBodyBytes) + `}`
+	resp, err := http.Post(base+"/v1/inventory", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("status %d, want 413", resp.StatusCode)
 	}
 }

@@ -76,6 +76,10 @@ func completingAlphabet() []fp.Op {
 // admissible if its last victim write re-establishes the base FP's
 // initial state; the explicit initialization is then dropped, as the
 // paper does for <[w1 w1 w0] r0/1/1>.
+//
+// The U probes run fail-first: a U at which a candidate fails moves to
+// the front of the probe order for the next check. The verdict of each
+// candidate does not depend on that order, so neither does the result.
 func SearchCompletion(cfg CompletionConfig) (Completion, error) {
 	maxOps := cfg.MaxOps
 	if maxOps <= 0 {
@@ -86,6 +90,7 @@ func SearchCompletion(cfg CompletionConfig) (Completion, error) {
 	}
 	base := cfg.Base
 	initBit, haveInit := initBitOf(base.S.Init)
+	us := append([]float64(nil), cfg.Us...)
 	result := Completion{}
 	for n := 1; n <= maxOps; n++ {
 		for _, prefix := range prefixesOfLength(n) {
@@ -97,7 +102,7 @@ func SearchCompletion(cfg CompletionConfig) (Completion, error) {
 			if hasVictim {
 				cand.Init = fp.InitNone
 			}
-			ok, err := completedEverywhere(cfg, cand, base)
+			ok, err := completedEverywhere(cfg, cand, base, us)
 			result.Tried++
 			if err != nil {
 				return Completion{}, err
@@ -118,11 +123,12 @@ func SearchCompletion(cfg CompletionConfig) (Completion, error) {
 // exact (F, R) at *every* floating voltage. Exactness matters: at
 // mixed-class rows where the F component degrades (RDF0 → IRF0 at
 // extreme resistance) a lax "any deviation" rule would accept trivial
-// prefixes that don't complete anything.
-func completedEverywhere(cfg CompletionConfig, cand fp.SOS, base fp.FP) (bool, error) {
+// prefixes that don't complete anything. The U probes run in the order
+// of us; a failing U moves to its front.
+func completedEverywhere(cfg CompletionConfig, cand fp.SOS, base fp.FP, us []float64) (bool, error) {
 	for _, rdef := range cfg.RDefs {
 		allUs := true
-		for _, u := range cfg.Us {
+		for i, u := range us {
 			var out Outcome
 			var err error
 			run := func() {
@@ -144,6 +150,10 @@ func completedEverywhere(cfg CompletionConfig, cand fp.SOS, base fp.FP) (bool, e
 				return false, err
 			}
 			if out.F != base.F || out.R != base.R {
+				if !exactRulesOff.Load() {
+					copy(us[1:i+1], us[:i])
+					us[0] = u
+				}
 				allUs = false
 				break
 			}

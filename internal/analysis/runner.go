@@ -7,7 +7,9 @@ package analysis
 
 import (
 	"fmt"
+	"slices"
 	"sync"
+	"sync/atomic"
 
 	"github.com/memtest/partialfaults/internal/defect"
 	"github.com/memtest/partialfaults/internal/dram"
@@ -29,6 +31,11 @@ type Memory interface {
 	// ForceVictim sets the victim's stored state directly, implementing
 	// the SOS initialization (the leading 0/1 of the notation is a
 	// state, not an operation).
+	//
+	// Contract: the state after ForceVictim(b) then SetFloat(nets, u)
+	// with the victim net (dram.NetCell0Store) in nets does not depend
+	// on b, and equals the state after SetFloat(nets, u) alone. evalSOS
+	// relies on it to drop such a dead initialization (see deadInit).
 	ForceVictim(bit int)
 	// SetFloat overwrites the named floating nets with voltage u.
 	SetFloat(nets []string, u float64)
@@ -275,11 +282,30 @@ func runSOSOn(mem Memory, floatNets []string, u float64, sos fp.SOS) (Outcome, e
 	return out, nil
 }
 
+// exactRulesOff disables the dead-init rewrite in evalSOS and the
+// fail-first probe order in SearchCompletion. Only the differential
+// tests set it, to compare against the plain pipeline.
+var exactRulesOff atomic.Bool
+
+// deadInit reports whether an SOS initialization is dead under the
+// floating group nets: the group contains the victim storage net, so
+// SetFloat overwrites whatever ForceVictim wrote (the Memory contract)
+// and <0 ...> and <1 ...> are one simulation.
+func deadInit(nets []string) bool {
+	return slices.Contains(nets, dram.NetCell0Store) && !exactRulesOff.Load()
+}
+
 // evalSOS is the cache-aware entry point used by the sweep and
 // completion phases: memo lookup first, then the replay cache, then a
 // plain fresh-build run; the result is stored back into the memo. The
 // model fingerprint scopes the memo key to the factory's identity.
+// A dead initialization is dropped before all three, so both inits
+// share one memo entry and one replay path; the outcome is a physical
+// observation, and callers classify it against their own SOS.
 func evalSOS(model Fingerprint, factory Factory, open defect.Open, rdef float64, nets []string, u float64, sos fp.SOS, memo *Memo, replay *ReplayCache) (Outcome, error) {
+	if sos.Init != fp.InitNone && deadInit(nets) {
+		sos.Init = fp.InitNone
+	}
 	var key OutcomeKey
 	if memo != nil {
 		key = NewOutcomeKey(model, open, rdef, nets, u, sos)

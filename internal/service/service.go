@@ -137,8 +137,17 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
+// MaxBodyBytes bounds a request body. A larger body is refused with 413
+// before it is decoded.
+const MaxBodyBytes = 1 << 20
+
 // ServeHTTP dispatches to the API routes.
-func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
+func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if r.Body != nil {
+		r.Body = http.MaxBytesReader(w, r.Body, MaxBodyBytes)
+	}
+	s.mux.ServeHTTP(w, r)
+}
 
 // Close detaches the persistent outcome log. In-flight requests keep
 // their memo; new outcomes just stop persisting.
@@ -197,10 +206,12 @@ func (s *Server) countRequest(kind string) {
 }
 
 // cached serves one cacheable request: store lookup, then singleflight
-// on the key digest, then compute + store write-through. The returned
-// flags report whether the payload came from the persistent store and
-// whether this caller joined another's in-flight computation.
-func (s *Server) cached(key store.Key, compute func() (any, error)) (payload []byte, fromStore, collapsed bool, err error) {
+// on the key digest, then compute + store write-through. compute runs
+// under the flight's context, which outlives ctx while other requests
+// still wait for the result; ctx bounds only this caller's wait. The
+// returned flags report whether the payload came from the persistent
+// store and whether this caller joined another's in-flight computation.
+func (s *Server) cached(ctx context.Context, key store.Key, compute func(context.Context) (any, error)) (payload []byte, fromStore, collapsed bool, err error) {
 	if s.store != nil {
 		if buf, ok, err := s.store.Get(key); err != nil {
 			return nil, false, false, err
@@ -208,7 +219,7 @@ func (s *Server) cached(key store.Key, compute func() (any, error)) (payload []b
 			return buf, true, false, nil
 		}
 	}
-	payload, collapsed, err = s.flights.Do(key.Digest(), func() ([]byte, error) {
+	payload, collapsed, err = s.flights.Do(ctx, key.Digest(), func(ctx context.Context) ([]byte, error) {
 		// Re-check under the flight: a concurrent leader may have
 		// persisted the result between our miss and our takeoff.
 		if s.store != nil {
@@ -218,7 +229,7 @@ func (s *Server) cached(key store.Key, compute func() (any, error)) (payload []b
 				return buf, nil
 			}
 		}
-		v, err := compute()
+		v, err := compute(ctx)
 		if err != nil {
 			return nil, err
 		}
@@ -263,6 +274,11 @@ func decodeBody(r io.Reader, v any) error {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			return &apiError{status: http.StatusRequestEntityTooLarge,
+				msg: fmt.Sprintf("request body larger than %d bytes", tooLarge.Limit)}
+		}
 		return badRequest("bad request body: %v", err)
 	}
 	return nil
@@ -496,13 +512,13 @@ func (s *Server) handleInventory(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	key := store.Key{Model: string(s.model(q.Engine)), Catalog: s.catalogFP, Kind: "inventory", Spec: spec}
-	payload, fromStore, collapsed, err := s.cached(key, func() (any, error) {
+	payload, fromStore, collapsed, err := s.cached(r.Context(), key, func(ctx context.Context) (any, error) {
 		rows, err := analysis.BuildInventory(analysis.InventoryConfig{
 			Factory: s.factory(q.Engine),
 			Opens:   opens,
 			RDefs:   q.RDefs, Us: q.Us,
 			Model: s.model(q.Engine),
-			Ctx:   r.Context(),
+			Ctx:   ctx,
 			Memo:  s.memo, Pool: s.pool,
 			Sweep: mode, Trace: s.trace,
 		})
@@ -608,10 +624,10 @@ func (s *Server) handleCoverage(w http.ResponseWriter, r *http.Request) {
 	// March-walk results depend on the discrete fault model only, not
 	// the electrical technology; key them under the engine name.
 	key := store.Key{Model: "march:" + q.Engine, Catalog: s.catalogFP, Kind: "coverage", Spec: spec}
-	payload, fromStore, collapsed, err := s.cached(key, func() (any, error) {
+	payload, fromStore, collapsed, err := s.cached(r.Context(), key, func(ctx context.Context) (any, error) {
 		var results []march.CoverageResult
 		var werr error
-		if err := s.pool.DoContext(r.Context(), func() {
+		if err := s.pool.DoContext(ctx, func() {
 			results, werr = march.CoverageMatrixWith(eng, tests, catalog, q.Rows, q.Cols)
 		}); err != nil {
 			return nil, err
@@ -689,10 +705,10 @@ func (s *Server) handleTwoCell(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	key := store.Key{Model: "march:" + q.Engine, Catalog: s.catalogFP, Kind: "twocell", Spec: spec}
-	payload, fromStore, collapsed, err := s.cached(key, func() (any, error) {
+	payload, fromStore, collapsed, err := s.cached(r.Context(), key, func(ctx context.Context) (any, error) {
 		var cert march.TwoCellCertificate
 		var werr error
-		if err := s.pool.DoContext(r.Context(), func() {
+		if err := s.pool.DoContext(ctx, func() {
 			cert, werr = march.TwoCellCertificateOffsetsWith(eng, tests[0], march.TwoCellCatalog(), q.Rows, q.Cols, q.Offsets)
 		}); err != nil {
 			return nil, err
@@ -735,9 +751,9 @@ func (s *Server) handleMatrix(w http.ResponseWriter, r *http.Request) {
 	}
 	// The prover is purely symbolic: no model, no geometry.
 	key := store.Key{Model: "prover", Catalog: s.catalogFP, Kind: "matrix", Spec: spec}
-	payload, fromStore, collapsed, err := s.cached(key, func() (any, error) {
+	payload, fromStore, collapsed, err := s.cached(r.Context(), key, func(ctx context.Context) (any, error) {
 		var m march.DetectionMatrix
-		if err := s.pool.DoContext(r.Context(), func() {
+		if err := s.pool.DoContext(ctx, func() {
 			m = march.BuildDetectionMatrix(tests, march.PaperFaultCatalog(), march.TwoCellCatalog())
 		}); err != nil {
 			return nil, err
@@ -798,7 +814,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	// Predictions depend on the netlist graph and phase model — the
 	// electrical model fingerprint covers both.
 	key := store.Key{Model: string(s.spiceModel), Catalog: s.catalogFP, Kind: "predict", Spec: spec}
-	payload, fromStore, collapsed, err := s.cached(key, func() (any, error) {
+	payload, fromStore, collapsed, err := s.cached(r.Context(), key, func(ctx context.Context) (any, error) {
 		col, err := dram.NewColumn(s.tech)
 		if err != nil {
 			return nil, err
@@ -991,7 +1007,7 @@ func (s *Server) handleStress(w http.ResponseWriter, r *http.Request) {
 	// the base fingerprint therefore still addresses the result
 	// correctly, and a base technology change invalidates every corner.
 	key := store.Key{Model: string(s.model(q.Engine)), Catalog: s.catalogFP, Kind: "stress", Spec: spec}
-	payload, fromStore, collapsed, err := s.cached(key, func() (any, error) {
+	payload, fromStore, collapsed, err := s.cached(r.Context(), key, func(ctx context.Context) (any, error) {
 		res, err := stress.Analyze(stress.Config{
 			Corners: corners,
 			Engine:  q.Engine,
@@ -1002,7 +1018,7 @@ func (s *Server) handleStress(w http.ResponseWriter, r *http.Request) {
 			Tests: tests,
 			Rows:  q.Rows, Cols: q.Cols,
 			Pool: s.pool, Memo: s.memo,
-			Ctx:   r.Context(),
+			Ctx:   ctx,
 			Sweep: mode, Trace: s.trace,
 		})
 		if err != nil {

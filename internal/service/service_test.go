@@ -601,3 +601,22 @@ func TestStressMetrics(t *testing.T) {
 		t.Fatalf("stress compute counters = %+v, want 1 matrix over 2 corners", m.Stress)
 	}
 }
+
+// TestOversizedBodyRejected: a body over MaxBodyBytes is refused with
+// 413 on every POST route, including inside a batch envelope, before
+// any work starts.
+func TestOversizedBodyRejected(t *testing.T) {
+	s := newTestServer(t, Config{})
+	pad := strings.Repeat(" ", MaxBodyBytes)
+	for _, path := range []string{"/v1/inventory", "/v1/stress", "/v1/batch"} {
+		code, buf := post(t, s, path, `{"opens":[1]`+pad+`}`)
+		if code != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s: status %d (%s), want 413", path, code, buf)
+		}
+	}
+	// Just under the bound still decodes (and fails only on content).
+	code, buf := post(t, s, "/v1/inventory", `{"opens":[99]`+pad[:MaxBodyBytes-20]+`}`)
+	if code != http.StatusBadRequest {
+		t.Errorf("body under the bound: status %d (%s), want 400", code, buf)
+	}
+}

@@ -1,6 +1,10 @@
 package service
 
-import "sync"
+import (
+	"context"
+	"fmt"
+	"sync"
+)
 
 // flightGroup collapses concurrent duplicate work: while one caller
 // computes the value for a key, later callers with the same key block
@@ -8,6 +12,12 @@ import "sync"
 // the de-duplication layer in front of the expensive sweep pipeline —
 // N identical concurrent requests cost one simulation. (Hand-rolled:
 // the repo carries no external dependencies.)
+//
+// The computation belongs to the flight, not to the caller that started
+// it: it runs under a flight-owned context, so one client leaving does
+// not fail the others. Each caller waits under its own context and may
+// leave at any time; the flight's context is cancelled only when every
+// caller has left.
 type flightGroup struct {
 	mu        sync.Mutex
 	calls     map[string]*flightCall
@@ -15,9 +25,11 @@ type flightGroup struct {
 }
 
 type flightCall struct {
-	done chan struct{}
-	val  []byte
-	err  error
+	done    chan struct{}
+	val     []byte
+	err     error
+	waiters int                // callers still waiting; guarded by flightGroup.mu
+	cancel  context.CancelFunc // cancels the flight's context
 }
 
 func newFlightGroup() *flightGroup {
@@ -25,28 +37,62 @@ func newFlightGroup() *flightGroup {
 }
 
 // Do runs fn once per key at a time. The boolean reports whether this
-// caller shared another caller's in-flight result (true) or computed it
-// (false). Results are not cached beyond the flight: once the leader
-// returns, the key is free again — persistent reuse is the store's job.
-func (g *flightGroup) Do(key string, fn func() ([]byte, error)) ([]byte, bool, error) {
+// caller shared another caller's in-flight result (true) or started the
+// flight (false). fn receives the flight's context, which keeps ctx's
+// values but not its cancellation. When ctx ends before the result is
+// ready, Do returns ctx's error at once. Results are not cached beyond
+// the flight: once fn returns, the key is free again — persistent reuse
+// is the store's job.
+func (g *flightGroup) Do(ctx context.Context, key string, fn func(context.Context) ([]byte, error)) ([]byte, bool, error) {
 	g.mu.Lock()
-	if c, inFlight := g.calls[key]; inFlight {
+	c, shared := g.calls[key]
+	if shared {
 		g.collapsed++
-		g.mu.Unlock()
-		<-c.done
-		return c.val, true, c.err
+	} else {
+		fctx, cancel := context.WithCancel(context.WithoutCancel(ctx))
+		c = &flightCall{done: make(chan struct{}), cancel: cancel}
+		g.calls[key] = c
+		go g.run(fctx, key, c, fn)
 	}
-	c := &flightCall{done: make(chan struct{})}
-	g.calls[key] = c
+	c.waiters++
 	g.mu.Unlock()
 
-	c.val, c.err = fn()
+	select {
+	case <-c.done:
+		return c.val, shared, c.err
+	case <-ctx.Done():
+		g.mu.Lock()
+		c.waiters--
+		if c.waiters == 0 {
+			// Nobody wants the result any more: stop the work, and let
+			// the next caller start a fresh flight.
+			c.cancel()
+			if g.calls[key] == c {
+				delete(g.calls, key)
+			}
+		}
+		g.mu.Unlock()
+		return nil, shared, ctx.Err()
+	}
+}
 
-	g.mu.Lock()
-	delete(g.calls, key)
-	g.mu.Unlock()
-	close(c.done)
-	return c.val, false, c.err
+// run computes the flight's result and releases its waiters. A panic in
+// fn becomes the flight's error, as net/http would have recovered it
+// had fn run on the handler's goroutine.
+func (g *flightGroup) run(ctx context.Context, key string, c *flightCall, fn func(context.Context) ([]byte, error)) {
+	defer func() {
+		if p := recover(); p != nil {
+			c.val, c.err = nil, fmt.Errorf("service: computation panicked: %v", p)
+		}
+		g.mu.Lock()
+		if g.calls[key] == c {
+			delete(g.calls, key)
+		}
+		g.mu.Unlock()
+		c.cancel()
+		close(c.done)
+	}()
+	c.val, c.err = fn(ctx)
 }
 
 // Collapsed reports how many calls joined another caller's flight.
