@@ -367,10 +367,10 @@ func stressMatrix(stdout, stderr io.Writer, o stressOpts) error {
 		return fmt.Errorf("bad -sweep: %v", err)
 	}
 	res, err := stress.Analyze(stress.Config{
-		Corners: corners,
-		Engine:  o.engine,
+		Corners:     corners,
+		Engine:      o.engine,
 		MarchEngine: eng,
-		RDefs:   o.rdefs, Us: o.us,
+		RDefs:       o.rdefs, Us: o.us,
 		Sweep: mode,
 		Progress: func(line string) {
 			fmt.Fprintf(stderr, "faultmap: %s\n", line)

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -20,7 +22,7 @@ func bootServer(t *testing.T, extra ...string) string {
 	t.Helper()
 	ready := make(chan string, 1)
 	args := append([]string{"-addr", "127.0.0.1:0"}, extra...)
-	go run(args, io_Discard{}, io_Discard{}, ready)
+	go run(args, io_Discard{}, io_Discard{}, ready, nil)
 	select {
 	case addr := <-ready:
 		return "http://" + addr
@@ -36,7 +38,7 @@ func (io_Discard) Write(p []byte) (int, error) { return len(p), nil }
 
 func TestRunRejectsBadFlags(t *testing.T) {
 	var out, errw bytes.Buffer
-	if code := run([]string{"-no-such-flag"}, &out, &errw, nil); code != 2 {
+	if code := run([]string{"-no-such-flag"}, &out, &errw, nil, nil); code != 2 {
 		t.Fatalf("exit %d, want 2", code)
 	}
 	if !strings.Contains(errw.String(), "flag") {
@@ -46,7 +48,7 @@ func TestRunRejectsBadFlags(t *testing.T) {
 
 func TestRunRejectsBadAddr(t *testing.T) {
 	var out, errw bytes.Buffer
-	if code := run([]string{"-addr", "999.999.999.999:1"}, &out, &errw, nil); code != 1 {
+	if code := run([]string{"-addr", "999.999.999.999:1"}, &out, &errw, nil, nil); code != 1 {
 		t.Fatalf("exit %d, want 1", code)
 	}
 }
@@ -306,5 +308,114 @@ func TestServeRejectsOversizedBody(t *testing.T) {
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Fatalf("status %d, want 413", resp.StatusCode)
+	}
+}
+
+// TestShutdownDrainsInFlightRequest closes run's stop channel while an
+// electrical inventory is being computed: the request still gets its
+// 200, run returns 0, and the outcome journal was closed only after the
+// request's outcomes reached it — a server booted on the same store
+// preloads exactly the outcomes a fresh computation of the request
+// produces, and answers the request from the store.
+func TestShutdownDrainsInFlightRequest(t *testing.T) {
+	dir := t.TempDir()
+	ready := make(chan string, 1)
+	stop := make(chan struct{})
+	exit := make(chan int, 1)
+	go func() {
+		exit <- run([]string{"-addr", "127.0.0.1:0", "-store", dir, "-drain", "10m"}, io_Discard{}, io_Discard{}, ready, stop)
+	}()
+	var base string
+	select {
+	case addr := <-ready:
+		base = "http://" + addr
+	case <-time.After(10 * time.Second):
+		t.Fatal("server did not come up")
+	}
+
+	const body = `{"engine":"spice","opens":[4,7],"rdefs":[1e4,1e6],"us":[0,3.3]}`
+	type reply struct {
+		status int
+		at     time.Time
+		err    error
+	}
+	replied := make(chan reply, 1)
+	go func() {
+		resp, err := http.Post(base+"/v1/inventory", "application/json", strings.NewReader(body))
+		if err != nil {
+			replied <- reply{err: err}
+			return
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		replied <- reply{status: resp.StatusCode, at: time.Now()}
+	}()
+	// Stop once the handler has started.
+	for {
+		var m service.MetricsResponse
+		resp, err := http.Get(base + "/v1/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = json.NewDecoder(resp.Body).Decode(&m)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.Requests["inventory"] == 1 {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+	stopped := time.Now()
+	close(stop)
+
+	r := <-replied
+	if r.err != nil || r.status != http.StatusOK {
+		t.Fatalf("in-flight request: status %d, error %v; want 200", r.status, r.err)
+	}
+	if !r.at.After(stopped) {
+		t.Fatal("the request finished before the stop; it was not in flight")
+	}
+	select {
+	case code := <-exit:
+		if code != 0 {
+			t.Fatalf("run returned %d after the stop, want 0", code)
+		}
+	case <-time.After(time.Minute):
+		t.Fatal("run did not return after the stop")
+	}
+
+	entries := func(s *service.Server) int {
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/metrics", nil))
+		var m service.MetricsResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &m); err != nil {
+			t.Fatal(err)
+		}
+		return m.Memo.Entries
+	}
+	fresh, err := service.New(service.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fresh.Close()
+	rec := httptest.NewRecorder()
+	fresh.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/inventory", strings.NewReader(body)))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("fresh computation: status %d", rec.Code)
+	}
+	reboot, err := service.New(service.Config{StoreDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reboot.Close()
+	if got, want := entries(reboot), entries(fresh); got != want || want == 0 {
+		t.Fatalf("rebooted server preloads %d journaled outcomes, a fresh computation makes %d", got, want)
+	}
+	rec = httptest.NewRecorder()
+	reboot.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/inventory", strings.NewReader(body)))
+	if !strings.HasPrefix(rec.Body.String(), `{"cached":true`) {
+		t.Fatalf("rebooted server did not answer from the store: %.80s", rec.Body.String())
 	}
 }

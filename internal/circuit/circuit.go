@@ -110,6 +110,137 @@ type StampContext struct {
 	// global indexing either way, so V and VPrev are unaffected.
 	RowMap  []int
 	PinnedX []float64
+
+	// Val and Pattern, set together with RowMap, select compiled
+	// addressing: reduced matrix entry (rr, rc) accumulates into
+	// Val[Pattern.Index(rr, rc)], the compact value array of the reduced
+	// system's sparsity pattern, and A is unused. An entry outside the
+	// pattern is +0 in the reduced system, and +0 plus ±0 stays +0, so
+	// only a nonzero contribution there matters: the stamp helpers
+	// reserve the entry (Pattern.Reserve) and store nothing. Slot stamps
+	// accumulate such an entry in a sink past the pattern's values
+	// instead (see SlotResolver), which the caller checks after the pass.
+	// A stamping pass that reserved anything must be discarded and
+	// repeated once the pattern has taken the entry in.
+	Val     []float64
+	Pattern *numeric.Workspace
+}
+
+// Slot is one stamp target of an element, resolved once per sparsity
+// pattern by a SlotResolver so that the Newton loop stamps without
+// re-deriving the address. A matrix slot is a position in Val (a pattern
+// entry or a sink), SlotDrop, or the coupling of free row rr to an
+// eliminated column, encoded as slotPinned - rr; a right-hand-side slot
+// is a reduced row or SlotDrop.
+type Slot int32
+
+const (
+	// SlotDrop is a ground row or column or an eliminated row: the
+	// contribution vanishes, as the stamp helpers' ground guards and the
+	// reduced system's row elimination make it.
+	SlotDrop Slot = -1
+	// slotPinned - rr is an entry of free row rr in an eliminated column:
+	// the coupling to the known voltage moves to the right-hand side.
+	slotPinned Slot = -2
+)
+
+// SlotStamper is implemented by nonlinear elements that can stamp through
+// slots resolved once per sparsity pattern instead of through the stamp
+// helpers' global indexing.
+type SlotStamper interface {
+	Element
+	// StampNodes returns the nodes (0 is ground) of the element's matrix
+	// rows and columns, stored by appending to buf[:0]: its matrix
+	// contributions land in rows × cols, its right-hand-side
+	// contributions in rows.
+	StampNodes(buf []int) (rows, cols []int)
+	// StampSlots makes exactly the contributions of Stamp, in the same
+	// order, with matrix entry (rows[i], cols[j]) at slot
+	// a[i*len(cols)+j] and right-hand-side row rows[i] at slot b[i].
+	StampSlots(ctx *StampContext, a, b []Slot)
+}
+
+// SlotResolver resolves element slots against one pattern. Each entry
+// outside the pattern that a slot names gets a sink: position
+// Pattern.Len()+k of Val for the k-th such entry, shared by every slot on
+// that entry. Starting from +0, a sink sums the entry's contributions in
+// the order the dense system would, so it ends nonzero (bitwise) exactly
+// when the dense entry does, and only then does the entry need to join
+// the pattern.
+type SlotResolver struct {
+	rowMap  []int
+	pattern *numeric.Workspace
+	outside [][2]int
+}
+
+// NewSlotResolver returns a resolver for the reduced system that rowMap
+// maps global x indices into (negative for eliminated unknowns) and
+// whose matrix pattern is p's.
+func NewSlotResolver(rowMap []int, p *numeric.Workspace) *SlotResolver {
+	return &SlotResolver{rowMap: rowMap, pattern: p}
+}
+
+// Resolve fills an element's slots for the given matrix rows and columns
+// (nodes, as SlotStamper.StampNodes returns them): len(rows)·len(cols)
+// matrix slots into a, len(rows) right-hand-side slots into b.
+func (sr *SlotResolver) Resolve(rows, cols []int, a, b []Slot) {
+	if len(a) != len(rows)*len(cols) || len(b) != len(rows) {
+		panic("circuit: slot buffers do not match the element's rows and columns")
+	}
+	for i, r := range rows {
+		rr := -1
+		if r != 0 {
+			rr = sr.rowMap[r-1]
+		}
+		b[i] = SlotDrop
+		if rr >= 0 {
+			b[i] = Slot(rr)
+		}
+		for j, c := range cols {
+			s := SlotDrop
+			if rr >= 0 && c != 0 {
+				if rc := sr.rowMap[c-1]; rc < 0 {
+					s = slotPinned - Slot(rr)
+				} else if s = Slot(sr.pattern.Index(rr, rc)); s < 0 {
+					s = Slot(sr.pattern.Len() + sr.sink(rr, rc))
+				}
+			}
+			a[i*len(cols)+j] = s
+		}
+	}
+}
+
+// sink returns the sink number of reduced entry (rr, rc).
+func (sr *SlotResolver) sink(rr, rc int) int {
+	for k, e := range sr.outside {
+		if e == [2]int{rr, rc} {
+			return k
+		}
+	}
+	sr.outside = append(sr.outside, [2]int{rr, rc})
+	return len(sr.outside) - 1
+}
+
+// Sinks returns the reduced (row, column) entries of the sinks, in sink
+// order.
+func (sr *SlotResolver) Sinks() [][2]int { return sr.outside }
+
+// AddSlot adds v to the matrix entry in column node c whose slot is s.
+// Only a coupling to a known voltage reads c.
+func (ctx *StampContext) AddSlot(s Slot, c int, v float64) {
+	if s >= 0 {
+		ctx.Val[s] += v
+	} else if s != SlotDrop {
+		// Coupling to a known voltage: A[r][c]·x[c] moves to the RHS.
+		ctx.B[slotPinned-s] -= v * ctx.PinnedX[c-1]
+	}
+}
+
+// AddRHSSlot adds v to the right-hand-side entry whose slot is s.
+func (ctx *StampContext) AddRHSSlot(s Slot, v float64) {
+	if s >= 0 {
+		ctx.B[s] += v
+	}
 }
 
 // V returns the voltage of node n in the current Newton iterate.
@@ -130,7 +261,8 @@ func (ctx *StampContext) VPrev(n int) float64 {
 }
 
 // addA accumulates into matrix entry (r, c) in global x indexing,
-// honouring the reduced-system mapping when one is installed.
+// honouring the reduced-system mapping and the compiled addressing when
+// they are installed.
 func (ctx *StampContext) addA(r, c int, v float64) {
 	if ctx.RowMap == nil {
 		ctx.A.Add(r, c, v)
@@ -140,11 +272,19 @@ func (ctx *StampContext) addA(r, c int, v float64) {
 	if rr < 0 {
 		return // the row's equation was eliminated
 	}
-	if rc := ctx.RowMap[c]; rc >= 0 {
-		ctx.A.Add(rr, rc, v)
-	} else {
+	rc := ctx.RowMap[c]
+	switch {
+	case rc < 0:
 		// Coupling to a known voltage: A[r][c]·x[c] moves to the RHS.
 		ctx.B[rr] -= v * ctx.PinnedX[c]
+	case ctx.Val == nil:
+		ctx.A.Add(rr, rc, v)
+	default:
+		if t := ctx.Pattern.Index(rr, rc); t >= 0 {
+			ctx.Val[t] += v
+		} else if v != 0 {
+			ctx.Pattern.Reserve(rr, rc)
+		}
 	}
 }
 

@@ -114,6 +114,16 @@ func (m *MOSFET) operatingPoint(v func(int) float64) (id, gm, gds float64, dEff,
 }
 
 // Stamp implements circuit.Element.
+func (m *MOSFET) Stamp(ctx *circuit.StampContext) {
+	gds, gm, ieq, d, s := m.linearize(ctx)
+	ctx.StampConductance(d, s, gds)
+	ctx.StampTransconductance(d, s, m.g, s, gm)
+	ctx.StampCurrent(d, s, ieq)
+}
+
+// linearize returns the channel conductance, the transconductance and the
+// companion current of the device at the current iterate, with the
+// effective drain and source.
 //
 // Derivation: with primed voltages v' = sign·v, the real-space channel
 // current from the effective drain to the effective source is
@@ -121,16 +131,45 @@ func (m *MOSFET) operatingPoint(v func(int) float64) (id, gm, gds float64, dEff,
 // Δi = gm·(Δvg − Δvs) + gds·(Δvd − Δvs) in REAL voltages (the two sign
 // factors cancel), so the conductance and VCCS are stamped unsigned and
 // only the companion constant carries the polarity.
-func (m *MOSFET) Stamp(ctx *circuit.StampContext) {
+func (m *MOSFET) linearize(ctx *circuit.StampContext) (gds, gm, ieq float64, d, s int) {
 	id, gm, gds, d, s, sign := m.operatingPoint(ctx.V)
 	// Primed-space controlling voltages at the iterate.
 	vgsP := sign*ctx.V(m.g) - sign*ctx.V(s)
 	vdsP := sign*ctx.V(d) - sign*ctx.V(s)
+	ieq = sign * (id - gm*vgsP - gds*vdsP)
+	return gds, gm, ieq, d, s
+}
 
-	ctx.StampConductance(d, s, gds)
-	ctx.StampTransconductance(d, s, m.g, s, gm)
-	ieq := sign * (id - gm*vgsP - gds*vdsP)
-	ctx.StampCurrent(d, s, ieq)
+// StampNodes implements circuit.SlotStamper: rows {d, s} and columns
+// {d, g, s}.
+func (m *MOSFET) StampNodes(buf []int) (rows, cols []int) {
+	buf = append(buf[:0], m.d, m.s, m.d, m.g, m.s)
+	return buf[:2], buf[2:]
+}
+
+// StampSlots implements circuit.SlotStamper: Stamp's contributions in
+// Stamp's order. When the channel conducts from s to d the effective
+// drain and source trade places, and so do their rows and columns.
+func (m *MOSFET) StampSlots(ctx *circuit.StampContext, a, b []circuit.Slot) {
+	gds, gm, ieq, d, s := m.linearize(ctx)
+	dr, sr, dc, sc := 0, 1, 0, 2
+	if d != m.d {
+		dr, sr, dc, sc = 1, 0, 2, 0
+	}
+	a = a[:6]
+	// StampConductance(d, s, gds).
+	ctx.AddSlot(a[dr*3+dc], d, gds)
+	ctx.AddSlot(a[sr*3+sc], s, gds)
+	ctx.AddSlot(a[dr*3+sc], s, -gds)
+	ctx.AddSlot(a[sr*3+dc], d, -gds)
+	// StampTransconductance(d, s, g, s, gm).
+	ctx.AddSlot(a[dr*3+1], m.g, gm)
+	ctx.AddSlot(a[dr*3+sc], s, -gm)
+	ctx.AddSlot(a[sr*3+1], m.g, -gm)
+	ctx.AddSlot(a[sr*3+sc], s, gm)
+	// StampCurrent(d, s, ieq).
+	ctx.AddRHSSlot(b[dr], -ieq)
+	ctx.AddRHSSlot(b[sr], ieq)
 }
 
 // DrainCurrent returns the real-space current flowing from the effective

@@ -58,3 +58,20 @@ func (s *Switch) Stamp(ctx *circuit.StampContext) {
 	vc := ctx.V(s.ctrl) - ctx.V(s.ctrlRef)
 	ctx.StampConductance(s.a, s.b, s.conductance(vc))
 }
+
+// StampNodes implements circuit.SlotStamper: rows and columns {a, b}.
+func (s *Switch) StampNodes(buf []int) (rows, cols []int) {
+	buf = append(buf[:0], s.a, s.b)
+	return buf, buf
+}
+
+// StampSlots implements circuit.SlotStamper: Stamp's conductance, in
+// StampConductance's order.
+func (s *Switch) StampSlots(ctx *circuit.StampContext, a, _ []circuit.Slot) {
+	g := s.conductance(ctx.V(s.ctrl) - ctx.V(s.ctrlRef))
+	a = a[:4]
+	ctx.AddSlot(a[0], s.a, g)
+	ctx.AddSlot(a[3], s.b, g)
+	ctx.AddSlot(a[1], s.b, -g)
+	ctx.AddSlot(a[2], s.a, -g)
+}

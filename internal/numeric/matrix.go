@@ -5,13 +5,15 @@
 // The modified-nodal-analysis (MNA) systems of the DRAM column are small
 // (25 unknowns after grounded-source elimination) but sparse: about 80 of
 // the 625 entries are nonzero, and the pattern the Newton loop sees over
-// a run of operations reaches 215–234 entries with fill. Matrices stay
-// dense; the loop's Workspace factorizes over that recorded pattern,
-// skipping the dense elimination's zero-operand work with bit-identical
-// results. On a healthy column's Jacobian that takes factorize from ~1.8
-// to ~1.5 µs and solve from ~0.81 to ~0.60 µs (medians of 5 runs on a
-// 2 vCPU Xeon VM), and the electrical Table-1 inventory 1.35× faster
-// together with the engine changes it came with.
+// a run of operations reaches 215–234 entries with fill. The loop's
+// Workspace factorizes over that recorded pattern, skipping the dense
+// elimination's zero-operand work with bit-identical results, and takes
+// its input in the pattern's compact order (FactorizeCompact), so the
+// simulator stamps the Jacobian straight into a compact array instead of
+// assembling a dense matrix; Gather and Scatter convert between the two
+// forms. On a healthy column's Jacobian the pattern-locked LU took
+// factorize from ~1.8 to ~1.5 µs and solve from ~0.81 to ~0.60 µs
+// (medians of 5 runs on a 2 vCPU Xeon VM).
 package numeric
 
 import "fmt"

@@ -19,16 +19,29 @@ var palette = []float64{
 // workspace's dense elimination, solves every b with both, and describes
 // the first bitwise difference in the errors or the solutions.
 func luMismatch(ws *Workspace, a *Matrix, bs [][]float64) string {
-	n := a.Rows()
-	ref := NewWorkspace(n)
-	errD := ref.FactorizeDense(a)
-	errS := ws.Factorize(a)
+	ref := NewWorkspace(a.Rows())
+	return solveMismatch(ws, ref, ref.FactorizeDense(a), ws.Factorize(a), bs)
+}
+
+// compactMismatch is luMismatch for the compact input in of ws's pattern,
+// against the dense elimination of in scattered over +0.
+func compactMismatch(ws *Workspace, in []float64, bs [][]float64) string {
+	a := NewMatrix(ws.n, ws.n)
+	ws.Scatter(in, a)
+	ref := NewWorkspace(ws.n)
+	return solveMismatch(ws, ref, ref.FactorizeDense(a), ws.FactorizeCompact(in), bs)
+}
+
+// solveMismatch compares the factorization errors of ws and the dense
+// reference ref and, when both succeeded, their solves of every b.
+func solveMismatch(ws, ref *Workspace, errD, errS error, bs [][]float64) string {
 	if errD != errS {
 		return fmt.Sprintf("errors differ: dense %v, pattern %v", errD, errS)
 	}
 	if errD != nil {
 		return ""
 	}
+	n := ws.n
 	for bi, b := range bs {
 		want := make([]float64, n)
 		ref.Solve(b, want)
@@ -264,6 +277,83 @@ func FuzzPatternLU(f *testing.F) {
 				b[i] = next()
 			}
 			if d := luMismatch(ws, a, [][]float64{b, b}); d != "" {
+				t.Fatalf("step %d: %s\n%v", step, d, a)
+			}
+		}
+	})
+}
+
+// FuzzFactorizeCompact decodes a pattern (one bit per entry, reserved
+// through Reserve) and a run of compact inputs and right-hand sides (one
+// palette byte per value) from the input, and checks FactorizeCompact
+// bit-for-bit against the dense elimination of the input scattered over
+// +0 on one reused workspace whose pattern grows between steps. It also
+// checks that Index agrees with the compact order and that Gather
+// inverts Scatter.
+func FuzzFactorizeCompact(f *testing.F) {
+	f.Add([]byte{3, 0xff, 0x01, 1, 2, 3, 4, 5, 6, 7, 8, 9, 1, 2, 3})
+	f.Add([]byte{4, 0x21, 0x84, 0, 8, 1, 8, 1, 2, 1, 7, 1, 1, 4, 9, 10, 11})
+	// Sub-diagonal entries beating the diagonal force swaps.
+	f.Add([]byte{2, 0x0f, 0, 1, 15, 1, 1, 3, 15, 2, 2, 2})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		n := 1 + int(data[0])%12
+		data = data[1:]
+		next := func() byte {
+			if len(data) == 0 {
+				return 0
+			}
+			b := data[0]
+			data = data[1:]
+			return b
+		}
+		ws := NewWorkspace(n)
+		var bits byte
+		for p := 0; p < n*n; p++ {
+			if p%8 == 0 {
+				bits = next()
+			}
+			if bits&(1<<(p%8)) != 0 {
+				ws.Reserve(p/n, p%n)
+			}
+		}
+		var in []float64
+		zero := NewMatrix(n, n)
+		for step := 0; step < 4 && len(data) > 0; step++ {
+			if step > 0 {
+				b := int(next())
+				ws.Reserve(b%n, b/n%n)
+			}
+			in = ws.Gather(zero, in)
+			if ws.Pending() || len(in) != ws.Len() {
+				t.Fatalf("step %d: Gather left reservations pending or returned %d of %d values", step, len(in), ws.Len())
+			}
+			for r := 0; r < n; r++ {
+				for c := 0; c < n; c++ {
+					if k := ws.Index(r, c); k != -1 && (k < 0 || k >= ws.Len() || ws.pos[k] != int32(r*n+c)) {
+						t.Fatalf("step %d: Index(%d, %d) = %d names position %d", step, r, c, k, ws.pos[k])
+					} else if k == -1 && ws.pat[r*n+c] {
+						t.Fatalf("step %d: Index(%d, %d) = -1 inside the pattern", step, r, c)
+					}
+				}
+			}
+			for k := range in {
+				in[k] = palette[int(next())%len(palette)]
+			}
+			b := make([]float64, n)
+			for i := range b {
+				b[i] = palette[int(next())%len(palette)]
+			}
+			a := NewMatrix(n, n)
+			ws.Scatter(in, a)
+			for k, v := range ws.Gather(a, nil) {
+				if math.Float64bits(v) != math.Float64bits(in[k]) {
+					t.Fatalf("step %d: Gather(Scatter(in))[%d] = %v, want %v", step, k, v, in[k])
+				}
+			}
+			if d := compactMismatch(ws, in, [][]float64{b, b}); d != "" {
 				t.Fatalf("step %d: %s\n%v", step, d, a)
 			}
 		}

@@ -1,6 +1,9 @@
 package numeric
 
-import "math"
+import (
+	"math"
+	"slices"
+)
 
 // negZero is the bit pattern of -0.
 const negZero = 1 << 63
@@ -10,15 +13,19 @@ const negZero = 1 << 63
 // allocates nothing once the sparsity pattern of the matrices it sees has
 // stopped growing.
 //
-// Factorize is pattern-locked: it records which entries of the matrices it
-// has seen are nonzero, adds the fill of elimination in natural order (no
+// The factorization is pattern-locked: the workspace records which entries
+// of the matrices it has seen are nonzero (plus the entries a caller
+// reserves), adds the fill of elimination in natural order (no
 // reordering, which would change the rounding), and compiles the
-// elimination into flat index programs over a compact value array. The
+// elimination into flat index programs over a compact value array: the
+// pattern's entries in row-major order. FactorizeCompact takes its input
+// in that order, so a caller that knows where its entries go (Index) can
+// fill it directly; Factorize gathers a dense matrix into it first. The
 // numeric step then does exactly the arithmetic of the dense elimination
 // (FactorizeDense) minus the updates with a zero operand, in the same
 // order, so the factors and the solutions are bit-for-bit those of the
 // dense elimination. The exactness argument needs three conditions, each
-// checked per factorization, with FactorizeDense as the fallback:
+// checked per factorization, with the dense elimination as the fallback:
 //
 //   - no row swap: the pivot search over the pattern's column entries
 //     must keep the diagonal (entries outside the pattern are +0 and never
@@ -28,13 +35,14 @@ const negZero = 1 << 63
 //   - no -0 input inside the pattern: with none, no -0 ever arises in the
 //     upper factor, so the dense-only updates that subtract ±0 are no-ops.
 //
-// An input nonzero outside the pattern (bitwise: -0 counts) grows the
-// pattern, which is never shrunk, and recompiles the programs. The solve
-// skips the zero factor entries too. A skipped ±0 product can change a
-// running sum only while that sum is zero, and a sum ends at -0 only when
-// it starts at -0; so the sparse solve is exact unless the right-hand side
-// holds a -0 or a non-finite value (0·Inf is NaN) or the result holds a
-// non-finite value, and Solve hands exactly those cases to the dense solve.
+// A gathered nonzero outside the pattern (bitwise: -0 counts) grows the
+// pattern, which is never shrunk, and recompiles the programs; so does a
+// reservation, at the next Gather. The solve skips the zero factor entries
+// too. A skipped ±0 product can change a running sum only while that sum
+// is zero, and a sum ends at -0 only when it starts at -0; so the sparse
+// solve is exact unless the right-hand side holds a -0 or a non-finite
+// value (0·Inf is NaN) or the result holds a non-finite value, and Solve
+// hands exactly those cases to the dense solve.
 type Workspace struct {
 	n    int
 	lu   []float64 // dense factors, valid when dense is set
@@ -46,7 +54,12 @@ type Workspace struct {
 	dense bool
 
 	// pat is the grow-only pattern (n×n, row-major), diagonal included.
-	pat []bool
+	// pending reports entries reserved in pat but not yet compiled.
+	pat     []bool
+	pending bool
+
+	// gathered is Factorize's compact copy of its input matrix.
+	gathered []float64
 
 	// The compiled program over the pattern's entries in row-major
 	// order: val holds the compact values, pos their dense positions and
@@ -86,11 +99,47 @@ func NewWorkspace(n int) *Workspace {
 	return w
 }
 
-// Factorize LU-factorizes the square matrix a with partial pivoting,
-// leaving a unmodified. The result, down to every bit of every later
-// Solve, is that of FactorizeDense; it is computed over the recorded
-// sparsity pattern when that is exact, and by FactorizeDense otherwise.
-func (w *Workspace) Factorize(a *Matrix) error {
+// Len returns the number of entries in the pattern: the length of the
+// compact value arrays that Gather fills and FactorizeCompact takes.
+func (w *Workspace) Len() int { return len(w.pos) }
+
+// Index returns the position of entry (r, c) in the compact order, or -1
+// when the entry is outside the compiled pattern.
+func (w *Workspace) Index(r, c int) int {
+	if r < 0 || r >= w.n || c < 0 || c >= w.n {
+		panic("numeric: workspace index out of range")
+	}
+	lo, hi := int(w.rowStart[r]), int(w.rowStart[r+1])
+	cols := w.col[lo:hi]
+	k, found := slices.BinarySearch(cols, int32(c))
+	if !found {
+		return -1
+	}
+	return lo + k
+}
+
+// Reserve adds entry (r, c) to the pattern. The compact order takes it in
+// at the next Gather; until then Pending reports true and Index, Len and
+// FactorizeCompact keep to the compiled pattern.
+func (w *Workspace) Reserve(r, c int) {
+	if r < 0 || r >= w.n || c < 0 || c >= w.n {
+		panic("numeric: workspace index out of range")
+	}
+	if p := r*w.n + c; !w.pat[p] {
+		w.pat[p] = true
+		w.pending = true
+	}
+}
+
+// Pending reports whether Reserve added entries that the compact order
+// does not hold yet.
+func (w *Workspace) Pending() bool { return w.pending }
+
+// Gather grows the pattern by every nonzero of a outside it (bitwise: -0
+// counts) and by the reserved entries, recompiling when it grew, and
+// copies a's entries in the pattern into dst in compact order. It returns
+// dst resized to Len, reallocated only when its capacity is too small.
+func (w *Workspace) Gather(a *Matrix, dst []float64) []float64 {
 	n := w.n
 	if a.Rows() != n || a.Cols() != n {
 		panic("numeric: workspace dimension mismatch")
@@ -106,30 +155,85 @@ func (w *Workspace) Factorize(a *Matrix) error {
 				w.pat[p] = true
 			}
 		}
+		w.pending = true
+	}
+	if w.pending {
 		w.compile()
 	}
-	val := w.val
-	for t, p := range w.pos {
-		v := data[p]
-		if math.Float64bits(v) == negZero {
-			return w.FactorizeDense(a)
-		}
-		val[t] = v
+	if cap(dst) < len(w.pos) {
+		dst = make([]float64, len(w.pos))
 	}
+	dst = dst[:len(w.pos)]
+	for t, p := range w.pos {
+		dst[t] = data[p]
+	}
+	return dst
+}
+
+// Scatter writes the compact values in over a, with +0 outside the
+// pattern.
+func (w *Workspace) Scatter(in []float64, a *Matrix) {
+	if a.Rows() != w.n || a.Cols() != w.n {
+		panic("numeric: workspace dimension mismatch")
+	}
+	w.scatter(in, a.data)
+}
+
+func (w *Workspace) scatter(in, dst []float64) {
+	if len(in) != len(w.pos) {
+		panic("numeric: compact input length mismatch")
+	}
+	clear(dst)
+	for t, p := range w.pos {
+		dst[p] = in[t]
+	}
+}
+
+// Factorize LU-factorizes the square matrix a with partial pivoting,
+// leaving a unmodified: it gathers a (growing the pattern by a's nonzeros
+// outside it) and factorizes the compact values.
+func (w *Workspace) Factorize(a *Matrix) error {
+	w.gathered = w.Gather(a, w.gathered)
+	return w.FactorizeCompact(w.gathered)
+}
+
+// FactorizeCompact LU-factorizes the matrix whose entries in the pattern
+// are in, in compact order, and which is +0 everywhere else, leaving in
+// unmodified. The result, down to every bit of every later Solve, is that
+// of FactorizeDense on that matrix; it is computed over the pattern when
+// that is exact, and by the dense elimination of in scattered over +0
+// otherwise. It panics unless len(in) == Len.
+func (w *Workspace) FactorizeCompact(in []float64) error {
+	val := w.val
+	if len(in) != len(val) {
+		panic("numeric: compact input length mismatch")
+	}
+	for _, v := range in {
+		if math.Float64bits(v) == negZero {
+			return w.factorizeScattered(in)
+		}
+	}
+	copy(val, in)
 	ok, err := w.eliminate()
 	if !ok {
-		return w.FactorizeDense(a)
+		return w.factorizeScattered(in)
 	}
 	w.dense = false
 	return err
 }
 
+// factorizeScattered is the dense fallback of FactorizeCompact.
+func (w *Workspace) factorizeScattered(in []float64) error {
+	w.scatter(in, w.lu)
+	return w.eliminateDense()
+}
+
 // eliminate runs the compiled elimination on val. It reports false when
 // the dense elimination would swap rows, meet a zero pivot (a swap or
-// ErrSingular, which FactorizeDense then decides) or meet a non-finite
+// ErrSingular, which the dense elimination then decides) or meet a non-finite
 // multiplier, and ErrSingular for a NaN pivot, as the dense elimination
 // does. Bailing out midway is harmless: val is scratch, and the fallback
-// starts again from the input matrix.
+// starts again from the input.
 func (w *Workspace) eliminate() (bool, error) {
 	val, dst := w.val, w.dst
 	d := 0
@@ -244,6 +348,7 @@ func (w *Workspace) compile() {
 		}
 	}
 	w.lowStart[n] = int32(len(w.low))
+	w.pending = false
 }
 
 // FactorizeDense is the reference elimination: partial pivoting over
@@ -254,8 +359,14 @@ func (w *Workspace) FactorizeDense(a *Matrix) error {
 	if a.Rows() != n || a.Cols() != n {
 		panic("numeric: workspace dimension mismatch")
 	}
-	w.dense = true
 	copy(w.lu, a.data)
+	return w.eliminateDense()
+}
+
+// eliminateDense runs the dense elimination on lu in place.
+func (w *Workspace) eliminateDense() error {
+	n := w.n
+	w.dense = true
 	lu := w.lu
 	for i := range w.pivx {
 		w.pivx[i] = i

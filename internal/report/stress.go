@@ -32,15 +32,15 @@ type StressCornerJSON struct {
 // inventories and coverage, deltas against nominal, and the
 // worst-corner certificate.
 type StressMatrixJSON struct {
-	Engine       string              `json:"engine"`
-	MarchEngine  string              `json:"march_engine"`
-	Rows         int                 `json:"rows"`
-	Cols         int                 `json:"cols"`
-	NominalIndex int                 `json:"nominal_index"`
-	Corners      []StressCornerJSON  `json:"corners"`
+	Engine       string               `json:"engine"`
+	MarchEngine  string               `json:"march_engine"`
+	Rows         int                  `json:"rows"`
+	Cols         int                  `json:"cols"`
+	NominalIndex int                  `json:"nominal_index"`
+	Corners      []StressCornerJSON   `json:"corners"`
 	Deltas       []stress.CornerDelta `json:"deltas"`
-	Certificate  stress.Certificate  `json:"certificate"`
-	Claimed      int                 `json:"claimed"`
+	Certificate  stress.Certificate   `json:"certificate"`
+	Claimed      int                  `json:"claimed"`
 }
 
 // ToStressJSON converts a stress matrix result to its JSON view.
@@ -56,9 +56,9 @@ func ToStressJSON(res *stress.Result) StressMatrixJSON {
 	for _, run := range res.Corners {
 		out.Corners = append(out.Corners, StressCornerJSON{
 			Name: run.Spec.Name, Spec: run.Spec.String(),
-			Model:     string(run.Model),
-			Inventory: ToInventoryJSON(run.Rows),
-			Coverage:  ToCoverageJSON(run.Coverage),
+			Model:        string(run.Model),
+			Inventory:    ToInventoryJSON(run.Rows),
+			Coverage:     ToCoverageJSON(run.Coverage),
 			Uninjectable: run.Uninjectable,
 		})
 	}

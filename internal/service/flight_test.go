@@ -184,3 +184,74 @@ func TestFlightPanicBecomesError(t *testing.T) {
 		t.Fatal("the panicked flight is still registered")
 	}
 }
+
+// TestFlightWaitOutlivesWaiters pins that Wait covers a computation
+// whose every caller has left: it returns only once the cancelled
+// computation has returned, and gives up with ctx's error before.
+func TestFlightWaitOutlivesWaiters(t *testing.T) {
+	g := newFlightGroup()
+	if err := g.Wait(context.Background()); err != nil {
+		t.Fatalf("Wait on an idle group: %v", err)
+	}
+	release := make(chan struct{})
+	ctx, leave := context.WithCancel(context.Background())
+	left := make(chan error, 1)
+	go func() {
+		_, _, err := g.Do(ctx, "k", func(fctx context.Context) ([]byte, error) {
+			<-fctx.Done() // cancelled once the only caller leaves
+			<-release
+			return nil, fctx.Err()
+		})
+		left <- err
+	}()
+	for g.inFlight() == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	leave()
+	if err := <-left; err != context.Canceled {
+		t.Fatalf("caller left with %v, want context.Canceled", err)
+	}
+	short, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	if err := g.Wait(short); err != context.DeadlineExceeded {
+		t.Fatalf("Wait with the computation still running: %v, want deadline exceeded", err)
+	}
+	close(release)
+	if err := g.Wait(context.Background()); err != nil {
+		t.Fatalf("Wait after the computation returned: %v", err)
+	}
+}
+
+// TestShutdownWaitsForAbandonedFlight pins that Server.Shutdown returns
+// only after a computation whose caller has left is done, so the outcome
+// journal it closes is not closed under the computation.
+func TestShutdownWaitsForAbandonedFlight(t *testing.T) {
+	s, err := New(Config{StoreDir: t.TempDir(), Parallelism: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, leave := context.WithCancel(context.Background())
+	req := httptest.NewRequest(http.MethodPost, "/v1/inventory", bytes.NewReader([]byte(slowInventory))).WithContext(ctx)
+	status := make(chan int, 1)
+	go func() {
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, req)
+		status <- rec.Code
+	}()
+	for s.flights.inFlight() == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	leave()
+	if code := <-status; code != http.StatusGatewayTimeout {
+		t.Fatalf("abandoned request: status %d, want 504", code)
+	}
+	if err := s.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	s.flights.mu.Lock()
+	running := s.flights.running
+	s.flights.mu.Unlock()
+	if running != 0 {
+		t.Fatalf("Shutdown returned with %d computations running", running)
+	}
+}

@@ -23,6 +23,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"github.com/memtest/partialfaults/internal/analysis"
 	"github.com/memtest/partialfaults/internal/analysis/store"
@@ -81,6 +82,10 @@ type Server struct {
 	stressCorners  uint64
 
 	bootMemo analysis.MemoStats
+
+	// responseWriteErrors counts batch responses that failed to reach
+	// the client after the work was done.
+	responseWriteErrors atomic.Uint64
 }
 
 // New builds a Server, opening (or creating) the persistent store when
@@ -150,12 +155,27 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 }
 
 // Close detaches the persistent outcome log. In-flight requests keep
-// their memo; new outcomes just stop persisting.
+// their memo; new outcomes just stop persisting. Shutdown closes it
+// only once the in-flight computations are done.
 func (s *Server) Close() error {
 	if s.outLog != nil {
 		return s.outLog.Close()
 	}
 	return nil
+}
+
+// Shutdown waits until no computation is in flight, or until ctx ends,
+// and then closes the server. A computation whose every caller has left
+// is cancelled, so once the HTTP server has stopped handling requests
+// the wait ends when the last computation notices. Shutdown returns
+// ctx's error when it closed the server with computations still
+// running (their outcomes then stop persisting).
+func (s *Server) Shutdown(ctx context.Context) error {
+	waitErr := s.flights.Wait(ctx)
+	if err := s.Close(); err != nil {
+		return err
+	}
+	return waitErr
 }
 
 // catalogFingerprint digests every fault/defect catalog the service
@@ -339,6 +359,9 @@ type MetricsResponse struct {
 		Spice string `json:"spice"`
 	} `json:"models"`
 	Catalog string `json:"catalog"`
+	// ResponseWriteErrors counts batch responses that could not be
+	// written to the client (typically because it hung up).
+	ResponseWriteErrors uint64 `json:"response_write_errors"`
 }
 
 // StoreMetrics is the persistent-store block of /v1/metrics.
@@ -380,6 +403,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	resp.Models.Behav = string(s.behavModel)
 	resp.Models.Spice = string(s.spiceModel)
 	resp.Catalog = s.catalogFP
+	resp.ResponseWriteErrors = s.responseWriteErrors.Load()
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(resp)
 }
@@ -1055,6 +1079,10 @@ type BatchItemResult struct {
 	Error  string          `json:"error,omitempty"`
 }
 
+// MaxBatchItems bounds the sub-requests of one batch, each of which runs
+// on its own goroutine. A larger batch is refused with 400.
+const MaxBatchItems = 32
+
 // handleBatch runs sub-requests concurrently through the shared pool
 // and singleflight layer — identical items inside one batch collapse
 // exactly like identical concurrent requests do.
@@ -1069,6 +1097,10 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	if len(q.Requests) == 0 {
 		writeError(w, badRequest("empty batch"))
+		return
+	}
+	if len(q.Requests) > MaxBatchItems {
+		writeError(w, badRequest("batch of %d requests exceeds the bound of %d", len(q.Requests), MaxBatchItems))
 		return
 	}
 	handlers := map[string]http.HandlerFunc{
@@ -1116,5 +1148,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	wg.Wait()
 	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(map[string]any{"responses": results})
+	if err := json.NewEncoder(w).Encode(map[string]any{"responses": results}); err != nil {
+		s.responseWriteErrors.Add(1)
+	}
 }

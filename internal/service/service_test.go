@@ -560,17 +560,17 @@ func TestStressCanonicalCorners(t *testing.T) {
 func TestStressBadRequests(t *testing.T) {
 	s := newTestServer(t, Config{})
 	cases := []struct{ body string }{
-		{`{"corners":"volcanic"}`},                     // unknown built-in
-		{`{"corners":"hot:temp=400"}`},                 // out of lint range
-		{`{"corners":"hot:vdd=-1"}`},                   // non-physical scale
-		{`{"corners":"hot:temp=nan"}`},                 // non-finite parameter
-		{`{"corners":"a:vdd=1.1;a:vdd=0.9"}`},          // duplicate names
-		{`{"corners":"hot:speed=9"}`},                  // unknown key
-		{`{"engine":"verilog"}`},                       // unknown engine
-		{`{"march_engine":"quantum"}`},                 // unknown march engine
-		{`{"tests":["March ZZ"]}`},                     // unknown test
-		{`{"opens":[99]}`},                             // unknown open
-		{`{"corners":"lights-out:vdd=0.05"}`},          // derives an invalid technology
+		{`{"corners":"volcanic"}`},            // unknown built-in
+		{`{"corners":"hot:temp=400"}`},        // out of lint range
+		{`{"corners":"hot:vdd=-1"}`},          // non-physical scale
+		{`{"corners":"hot:temp=nan"}`},        // non-finite parameter
+		{`{"corners":"a:vdd=1.1;a:vdd=0.9"}`}, // duplicate names
+		{`{"corners":"hot:speed=9"}`},         // unknown key
+		{`{"engine":"verilog"}`},              // unknown engine
+		{`{"march_engine":"quantum"}`},        // unknown march engine
+		{`{"tests":["March ZZ"]}`},            // unknown test
+		{`{"opens":[99]}`},                    // unknown open
+		{`{"corners":"lights-out:vdd=0.05"}`}, // derives an invalid technology
 	}
 	for _, c := range cases {
 		code, buf := post(t, s, "/v1/stress", c.body)
@@ -618,5 +618,68 @@ func TestOversizedBodyRejected(t *testing.T) {
 	code, buf := post(t, s, "/v1/inventory", `{"opens":[99]`+pad[:MaxBodyBytes-20]+`}`)
 	if code != http.StatusBadRequest {
 		t.Errorf("body under the bound: status %d (%s), want 400", code, buf)
+	}
+}
+
+// TestBatchItemBound pins MaxBatchItems: a batch at the bound runs every
+// item, one item more is refused with a 400 that names the bound.
+func TestBatchItemBound(t *testing.T) {
+	s := newTestServer(t, Config{Parallelism: 2})
+	batch := func(n int) string {
+		items := make([]string, n)
+		for i := range items {
+			items[i] = `{"kind":"matrix","body":{"tests":["MATS+"]}}`
+		}
+		return `{"requests":[` + strings.Join(items, ",") + `]}`
+	}
+	code, buf := post(t, s, "/v1/batch", batch(MaxBatchItems))
+	if code != http.StatusOK {
+		t.Fatalf("batch of %d: status %d: %s", MaxBatchItems, code, buf)
+	}
+	var got struct {
+		Responses []BatchItemResult `json:"responses"`
+	}
+	if err := json.Unmarshal(buf, &got); err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Responses) != MaxBatchItems {
+		t.Fatalf("%d responses to a batch of %d", len(got.Responses), MaxBatchItems)
+	}
+	for i, r := range got.Responses {
+		if r.Status != http.StatusOK {
+			t.Fatalf("item %d: status %d (%s)", i, r.Status, r.Error)
+		}
+	}
+	code, buf = post(t, s, "/v1/batch", batch(MaxBatchItems+1))
+	if code != http.StatusBadRequest || !strings.Contains(string(buf), fmt.Sprint(MaxBatchItems)) {
+		t.Fatalf("batch of %d: status %d: %s; want 400 naming the bound", MaxBatchItems+1, code, buf)
+	}
+}
+
+// failingWriter is a ResponseWriter whose body writes fail, as they do
+// once the client has hung up.
+type failingWriter struct{ header http.Header }
+
+func (w *failingWriter) Header() http.Header { return w.header }
+
+func (w *failingWriter) Write([]byte) (int, error) { return 0, fmt.Errorf("client went away") }
+
+func (w *failingWriter) WriteHeader(int) {}
+
+// TestBatchCountsResponseWriteErrors pins that a batch response that
+// cannot be written is counted in /v1/metrics rather than dropped.
+func TestBatchCountsResponseWriteErrors(t *testing.T) {
+	s := newTestServer(t, Config{Parallelism: 2})
+	req := httptest.NewRequest(http.MethodPost, "/v1/batch",
+		strings.NewReader(`{"requests":[{"kind":"matrix","body":{"tests":["MATS+"]}}]}`))
+	s.ServeHTTP(&failingWriter{header: http.Header{}}, req)
+	rec := httptest.NewRecorder()
+	s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/metrics", nil))
+	var m MetricsResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &m); err != nil {
+		t.Fatal(err)
+	}
+	if m.ResponseWriteErrors != 1 {
+		t.Fatalf("response_write_errors = %d, want 1", m.ResponseWriteErrors)
 	}
 }

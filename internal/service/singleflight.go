@@ -22,6 +22,8 @@ type flightGroup struct {
 	mu        sync.Mutex
 	calls     map[string]*flightCall
 	collapsed uint64
+	running   int             // computations not yet returned
+	idle      []chan struct{} // closed when running drops to 0
 }
 
 type flightCall struct {
@@ -52,6 +54,7 @@ func (g *flightGroup) Do(ctx context.Context, key string, fn func(context.Contex
 		fctx, cancel := context.WithCancel(context.WithoutCancel(ctx))
 		c = &flightCall{done: make(chan struct{}), cancel: cancel}
 		g.calls[key] = c
+		g.running++
 		go g.run(fctx, key, c, fn)
 	}
 	c.waiters++
@@ -88,6 +91,12 @@ func (g *flightGroup) run(ctx context.Context, key string, c *flightCall, fn fun
 		if g.calls[key] == c {
 			delete(g.calls, key)
 		}
+		if g.running--; g.running == 0 {
+			for _, ch := range g.idle {
+				close(ch)
+			}
+			g.idle = nil
+		}
 		g.mu.Unlock()
 		c.cancel()
 		close(c.done)
@@ -100,4 +109,23 @@ func (g *flightGroup) Collapsed() uint64 {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	return g.collapsed
+}
+
+// Wait blocks until no computation is running, or until ctx ends, and
+// returns ctx's error in that case.
+func (g *flightGroup) Wait(ctx context.Context) error {
+	g.mu.Lock()
+	if g.running == 0 {
+		g.mu.Unlock()
+		return nil
+	}
+	done := make(chan struct{})
+	g.idle = append(g.idle, done)
+	g.mu.Unlock()
+	select {
+	case <-done:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
 }

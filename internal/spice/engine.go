@@ -2,11 +2,11 @@
 // netlists in internal/circuit: a Newton–Raphson DC operating-point
 // solver and a fixed-step backward-Euler transient engine.
 //
-// The engine is deliberately small: dense MNA assembly, full Newton with
-// a gmin conductance from every node to ground (which also gives
-// genuinely floating nets — isolated bit lines behind a resistive open —
-// a well-defined, slowly leaking voltage, exactly the "floating line"
-// physics the partial-fault paper studies).
+// The engine is deliberately small: modified nodal analysis with full
+// Newton and a gmin conductance from every node to ground (which also
+// gives genuinely floating nets — isolated bit lines behind a resistive
+// open — a well-defined, slowly leaking voltage, exactly the "floating
+// line" physics the partial-fault paper studies).
 //
 // Three stacked optimizations make repeated solves cheap without
 // changing a single bit of the results (see DESIGN.md, "performance
@@ -21,19 +21,26 @@
 //     magnitude.
 //  2. Static stamp caching. Linear elements (circuit.SplitStamper)
 //     stamp their matrix contribution once per dt regime into a cached
-//     static matrix that each Newton iteration copies; only nonlinear
-//     elements (MOSFETs, switches) restamp per iteration, and the
-//     linear right-hand side is rebuilt once per step, folding in the
-//     pinned-source couplings over their nonzeros only.
-//  3. Pattern-locked sparse LU (numeric.Workspace.Factorize). The
-//     reduced column matrix has about 80 nonzeros of 625; the workspace
-//     records the pattern it sees (grow-only; 215–234 entries with
-//     natural-order fill), compiles the elimination over it, and skips
-//     only updates with a zero operand, in the dense order. That is
-//     exact while no row swap is needed, every multiplier is finite and
-//     no -0 enters the pattern; otherwise, and for right-hand sides
-//     holding -0 or non-finite values, the dense elimination runs
-//     instead (about 0.2% of factorizations over all simulated opens).
+//     static matrix; only nonlinear elements (MOSFETs, switches)
+//     restamp per iteration, and the linear right-hand side is rebuilt
+//     once per step, folding in the pinned-source couplings over their
+//     nonzeros only.
+//  3. Compiled stamp plan over a pattern-locked sparse LU
+//     (numeric.Workspace). The reduced column matrix has about 80
+//     nonzeros of 625; the workspace records the pattern it sees
+//     (grow-only; 215–234 entries with natural-order fill), compiles the
+//     elimination over it, and skips only updates with a zero operand,
+//     in the dense order. Once per dt regime the static matrix is
+//     gathered into the pattern's compact order; each Newton iteration
+//     copies that and the nonlinear elements stamp straight into it
+//     through slots resolved once per pattern (circuit.SlotStamper), so
+//     no dense matrix is assembled. A nonzero landing outside the
+//     pattern grows it, and the iteration's stamping pass is repeated.
+//     The elimination is exact while no row swap is needed, every
+//     multiplier is finite and no -0 enters the pattern; otherwise, and
+//     for right-hand sides holding -0 or non-finite values, the dense
+//     elimination runs instead (about 0.2% of factorizations over all
+//     simulated opens).
 package spice
 
 import (
@@ -110,6 +117,18 @@ type Engine struct {
 	committers []circuit.Committer
 	stateful   []resetter
 
+	// The compiled stamp plan: slotted[i] is dynamic[i] when it stamps
+	// through slots (nil otherwise), with its matrix slots at
+	// slots[slotOff[2i]:slotOff[2i+1]] and its right-hand-side slots at
+	// slots[slotOff[2i+1]:slotOff[2i+2]], resolved against the
+	// workspace's pattern of slotLen entries; sinks[k] is the reduced
+	// entry outside the pattern that accumulates at in[slotLen+k].
+	slotted []circuit.SlotStamper
+	slots   []circuit.Slot
+	slotOff []int32
+	slotLen int
+	sinks   [][2]int
+
 	// Grounded-source elimination.
 	pinned  []pinnedNode
 	free    []int     // reduced position → x index
@@ -124,23 +143,31 @@ type Engine struct {
 	stepB    []float64 // linear part of b for the current step
 
 	// Reduced system buffers. aRedS caches the reduced static matrix per
-	// dt regime; the nonzero static couplings of free rows to pinned
-	// node columns are kept per dt regime as free row fi's run
+	// dt regime, and sRed its entries in the workspace's compact order;
+	// each Newton iteration copies sRed into in and stamps the nonlinear
+	// elements over it. The nonzero static couplings of free rows to
+	// pinned node columns are kept per dt regime as free row fi's run
 	// [cStart[fi], cStart[fi+1]) of (pinned index cPin, value cVal),
 	// folded into bRedBase each step so Newton iterations never revisit
 	// the full-size system.
 	aRedS    *numeric.Matrix
+	sRed     []float64
+	in       []float64
 	cStart   []int32
 	cPin     []int32
 	cVal     []float64
-	aRed     *numeric.Matrix
 	bRedBase []float64
 	bRed     []float64
 	xRed     []float64
 
-	// dense forces the reference dense elimination and pinned-coupling
-	// fold; only tests set it.
+	// regrows counts the stamping passes discarded because a nonzero
+	// landed outside the pattern.
+	regrows int
+
+	// dense forces the reference dense assembly into aRed, elimination
+	// and pinned-coupling fold; only tests set it.
 	dense bool
+	aRed  *numeric.Matrix
 
 	// ctx is the one stamp context, refilled by stampContext for each
 	// stamping pass: elements take it by pointer through an interface, so
@@ -178,7 +205,6 @@ func NewEngine(ckt *circuit.Circuit, opts Options) (*Engine, error) {
 		// evaluation and needs no factorization buffers.
 		e.ws = numeric.NewWorkspace(nf)
 		e.aRedS = numeric.NewMatrix(nf, nf)
-		e.aRed = numeric.NewMatrix(nf, nf)
 		e.bRedBase = make([]float64, nf)
 		e.bRed = make([]float64, nf)
 		e.xRed = make([]float64, nf)
@@ -235,6 +261,21 @@ func (e *Engine) classify() {
 			e.dynamic = append(e.dynamic, el)
 		}
 	}
+	e.slotted = make([]circuit.SlotStamper, len(e.dynamic))
+	e.slotOff = make([]int32, 1, 2*len(e.dynamic)+1)
+	var nodes []int
+	for i, el := range e.dynamic {
+		na, nb := 0, 0
+		if ss, ok := el.(circuit.SlotStamper); ok {
+			e.slotted[i] = ss
+			rows, cols := ss.StampNodes(nodes)
+			nodes = rows[:0]
+			na, nb = len(rows)*len(cols), len(rows)
+		}
+		off := e.slotOff[len(e.slotOff)-1]
+		e.slotOff = append(e.slotOff, off+int32(na), off+int32(na+nb))
+	}
+	e.slots = make([]circuit.Slot, e.slotOff[len(e.slotOff)-1])
 	n := e.ckt.Size()
 	e.free = make([]int, 0, n-len(eliminated))
 	e.rowMap = make([]int, n)
@@ -396,9 +437,74 @@ func (e *Engine) refreshStatic(dt float64) {
 	}
 	if nf := len(e.free); nf > 0 {
 		e.cStart[nf] = int32(len(e.cPin))
+		if !e.dense {
+			e.regather()
+		}
 	}
 	e.staticDt = dt
 	e.staticOK = true
+}
+
+// regather projects the reduced static matrix into the workspace's
+// compact order, growing the pattern by its nonzeros outside it and by
+// the entries reserved since the last gather, and re-resolves the slots
+// when the pattern grew.
+func (e *Engine) regather() {
+	e.sRed = e.ws.Gather(e.aRedS, e.sRed[:0])
+	if len(e.sRed) == e.slotLen {
+		// The pattern did not grow; the sinks' +0 tail is still there.
+		e.sRed = e.sRed[:len(e.in)]
+		return
+	}
+	e.slotLen = len(e.sRed)
+	sr := circuit.NewSlotResolver(e.rowMap, e.ws)
+	var nodes []int
+	for i, ss := range e.slotted {
+		if ss != nil {
+			rows, cols := ss.StampNodes(nodes)
+			nodes = rows[:0]
+			sr.Resolve(rows, cols, e.slots[e.slotOff[2*i]:e.slotOff[2*i+1]], e.slots[e.slotOff[2*i+1]:e.slotOff[2*i+2]])
+		}
+	}
+	// The sinks follow the pattern's values in in, and start at +0. Both
+	// buffers live as long as the engine, so they get their exact sizes.
+	e.sinks = sr.Sinks()
+	sRed := make([]float64, e.slotLen+len(e.sinks))
+	copy(sRed, e.sRed)
+	e.sRed, e.in = sRed, make([]float64, len(sRed))
+}
+
+// stampCompact fills in and bRed with the iteration's reduced system: the
+// static projection plus the nonlinear elements' stamps, in element
+// order, which is the dense assembly's summation order entry by entry. A
+// pass that leaves an entry outside the pattern nonzero (a slot stamp's
+// sink, or a reservation by the stamp helpers) is discarded and repeated
+// after regather took the entry in; the nonlinear stamps are pure in the
+// context, so the repeat reproduces the pass exactly.
+func (e *Engine) stampCompact(ctx *circuit.StampContext) {
+	for {
+		copy(e.in, e.sRed)
+		copy(e.bRed, e.bRedBase)
+		ctx.Val = e.in
+		for i, el := range e.dynamic {
+			if ss := e.slotted[i]; ss != nil {
+				off := e.slotOff[2*i : 2*i+3]
+				ss.StampSlots(ctx, e.slots[off[0]:off[1]], e.slots[off[1]:off[2]])
+			} else {
+				el.Stamp(ctx)
+			}
+		}
+		for k, v := range e.in[e.slotLen:] {
+			if math.Float64bits(v) != 0 {
+				e.ws.Reserve(e.sinks[k][0], e.sinks[k][1])
+			}
+		}
+		if !e.ws.Pending() {
+			return
+		}
+		e.regather()
+		e.regrows++
+	}
 }
 
 // buildStepB rebuilds the linear right-hand side for the current step
@@ -467,29 +573,35 @@ func (e *Engine) newtonSolve(guess, xPrev []float64, dt float64) error {
 	}
 	xNew := e.xNew
 	nNodes := e.ckt.NumNodes()
-	// Nonlinear elements stamp straight into the reduced system through
-	// the RowMap/PinnedX indirection; the full-size matrix is never
-	// touched inside the Newton loop.
+	// Nonlinear elements stamp straight into the reduced system's compact
+	// values through their slots (or the RowMap/PinnedX indirection); the
+	// full-size matrix is never touched inside the Newton loop.
 	ctx := e.stampContext(circuit.StampContext{
-		A: e.aRed, B: e.bRed,
+		B: e.bRed,
 		X: xIter, XPrev: xPrev,
 		Dt: dt, Time: e.time,
 		Trapezoidal: e.opts.Trapezoidal,
 		RowMap:      e.rowMap,
 		PinnedX:     e.pinnedX,
 	})
+	if e.dense {
+		ctx.A = e.aRed
+	} else {
+		ctx.Pattern = e.ws
+	}
 	for iter := 0; iter < e.opts.MaxNewtonIter; iter++ {
 		if len(e.free) > 0 {
-			e.aRed.CopyFrom(e.aRedS)
-			copy(e.bRed, e.bRedBase)
-			for _, el := range e.dynamic {
-				el.Stamp(ctx)
-			}
 			var err error
 			if e.dense {
+				e.aRed.CopyFrom(e.aRedS)
+				copy(e.bRed, e.bRedBase)
+				for _, el := range e.dynamic {
+					el.Stamp(ctx)
+				}
 				err = e.ws.FactorizeDense(e.aRed)
 			} else {
-				err = e.ws.Factorize(e.aRed)
+				e.stampCompact(ctx)
+				err = e.ws.FactorizeCompact(e.in[:e.slotLen])
 			}
 			if err != nil {
 				return fmt.Errorf("spice: %w (iteration %d)", err, iter)

@@ -116,13 +116,13 @@ func TestParseSpecRoundTrip(t *testing.T) {
 // TestParseSpecErrors drives the parser's rejection paths.
 func TestParseSpecErrors(t *testing.T) {
 	for _, in := range []string{
-		"",                // empty
-		"   ",             // blank
-		":vdd=1",          // no name
-		"volcanic",        // unknown built-in
-		"x:vdd",           // no value
-		"x:vdd=abc",       // unparsable value
-		"x:warp=9",        // unknown key
+		"",          // empty
+		"   ",       // blank
+		":vdd=1",    // no name
+		"volcanic",  // unknown built-in
+		"x:vdd",     // no value
+		"x:vdd=abc", // unparsable value
+		"x:warp=9",  // unknown key
 	} {
 		if _, err := ParseSpec(in); err == nil {
 			t.Errorf("ParseSpec(%q) accepted", in)
