@@ -382,7 +382,7 @@ func BenchmarkBehavVsSpiceFidelity(b *testing.B) {
 		}
 	})
 	b.Run("spice", func(b *testing.B) {
-		f := analysis.NewSpiceFactory(dram.Default())
+		f := analysis.NewPooledSpiceFactory(dram.Default())
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -597,36 +597,25 @@ func BenchmarkMarchTestExecution(b *testing.B) {
 	}
 }
 
-// spiceSweepBench runs the electrical plane sweep that backs the
-// performance-layer acceptance criterion: Open 4 under 1r1 plus the
-// prefix-sharing state SOS 1, on a compact grid. The naive variant
-// builds a fresh column per point; the pooled variant recycles columns
-// through the reuse pool and serves shared prefixes from the replay
-// tree and repeated points from the outcome memo — the configuration
-// BuildInventory uses. The equivalence tests prove both produce
-// bit-for-bit identical planes.
-func spiceSweepBench(b *testing.B, pooled bool) {
+// BenchmarkSpicePlaneSweepPooled runs the electrical plane sweep that
+// backs the performance-layer acceptance criterion: Open 4 under 1r1
+// plus the prefix-sharing state SOS 1, on a compact grid. Columns are
+// recycled through the reuse pool, shared prefixes are served from the
+// replay tree and repeated points from the outcome memo — the
+// configuration BuildInventory uses.
+func BenchmarkSpicePlaneSweepPooled(b *testing.B) {
 	o, _ := defect.ByID(4)
 	grp, _ := o.Float(defect.FloatBitLine)
 	rdefs := numeric.Logspace(1e4, 1e7, 4)
 	us := numeric.Linspace(0, 3.3, 4)
 	soses := []fp.SOS{fp.NewSOS(fp.Init1, fp.R(1)), fp.NewSOS(fp.Init1)}
-	var factory analysis.Factory
-	if pooled {
-		factory = analysis.NewPooledSpiceFactory(dram.Default())
-	} else {
-		factory = analysis.NewSpiceFactory(dram.Default())
-	}
+	factory := analysis.NewPooledSpiceFactory(dram.Default())
 	faulty := 0.0
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		var memo *analysis.Memo
-		var replay *analysis.ReplayCache
-		if pooled {
-			memo = analysis.NewMemo()
-			replay = analysis.NewReplayCache(factory, o, grp.Nets)
-		}
+		memo := analysis.NewMemo()
+		replay := analysis.NewReplayCache(factory, o, grp.Nets)
 		for _, sos := range soses {
 			plane, err := analysis.SweepPlane(analysis.SweepConfig{
 				Factory: factory, Open: o, Float: grp, SOS: sos,
@@ -640,19 +629,10 @@ func spiceSweepBench(b *testing.B, pooled bool) {
 				faulty = f
 			}
 		}
-		if replay != nil {
-			replay.Close()
-		}
+		replay.Close()
 		if faulty == 0 {
 			b.Fatal("the bit-line open must show faults on this grid")
 		}
 	}
 	b.ReportMetric(faulty, "faulty-fraction")
 }
-
-// BenchmarkSpicePlaneSweepNaive is the fresh-build-per-point baseline.
-func BenchmarkSpicePlaneSweepNaive(b *testing.B) { spiceSweepBench(b, false) }
-
-// BenchmarkSpicePlaneSweepPooled is the pooled + memoized + replayed
-// sweep (the BuildInventory configuration).
-func BenchmarkSpicePlaneSweepPooled(b *testing.B) { spiceSweepBench(b, true) }

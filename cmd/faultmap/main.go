@@ -156,7 +156,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	case "behav":
 		factory = behav.NewFactory(behav.DefaultParams())
 	case "spice":
-		factory = analysis.NewSpiceFactory(dram.Default())
+		factory = analysis.NewPooledSpiceFactory(dram.Default())
 	default:
 		return fail("unknown engine %q", *engine)
 	}

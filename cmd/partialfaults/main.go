@@ -44,7 +44,7 @@ func main() {
 	case "behav":
 		factory = behav.NewFactory(behav.DefaultParams())
 	case "spice":
-		factory = analysis.NewSpiceFactory(dram.Default())
+		factory = analysis.NewPooledSpiceFactory(dram.Default())
 	default:
 		fatalf("unknown engine %q", *engine)
 	}

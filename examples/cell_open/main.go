@@ -77,7 +77,7 @@ func main() {
 
 	// Cross-validate a few points against the full electrical model.
 	fmt.Println("\ncross-validation against the transient (SPICE-level) column:")
-	spice := analysis.NewSpiceFactory(dram.Default())
+	spice := analysis.NewPooledSpiceFactory(dram.Default())
 	sos := fp.NewSOS(fp.Init0, fp.R(0))
 	for _, probe := range [][2]float64{{5e4, 1.6}, {5e4, 0}, {3e6, 0}} {
 		a, err := analysis.RunSOS(fast, open, probe[0], group.Nets, probe[1], sos)

@@ -9,7 +9,7 @@ import (
 )
 
 // testFactory returns the electrically simulated column factory.
-func testFactory() Factory { return NewSpiceFactory(dram.Default()) }
+func testFactory() Factory { return NewPooledSpiceFactory(dram.Default()) }
 
 func open4(t *testing.T) defect.Open {
 	t.Helper()

@@ -150,10 +150,11 @@ func TestDeadInitOnlyForVictimNet(t *testing.T) {
 	}
 }
 
-// TestDeadInitContractSpice checks the contract on both electrical
-// factories for every simulated memory-cell float group, at random
-// R_def, U and op sequences. The pooled factory recycles columns across
-// trials, so reused engines are covered as well.
+// TestDeadInitContractSpice checks the contract on the electrical
+// column for every simulated memory-cell float group, at random R_def,
+// U and op sequences: once on freshly constructed columns and once on a
+// pooled factory that recycles columns across trials, so reused engines
+// are covered as well.
 func TestDeadInitContractSpice(t *testing.T) {
 	trials := 8
 	if testing.Short() {
@@ -165,7 +166,7 @@ func TestDeadInitContractSpice(t *testing.T) {
 		name    string
 		factory Factory
 	}{
-		{"unpooled", NewSpiceFactory(tech)},
+		{"unpooled", FreshSpiceFactory(tech)},
 		{"pooled", NewPooledSpiceFactory(tech)},
 	} {
 		t.Run(fc.name, func(t *testing.T) {
@@ -196,7 +197,7 @@ func TestDeadInitNegativeControlSpice(t *testing.T) {
 	if !ok {
 		t.Fatal("Open 5 has no bit-line group")
 	}
-	factory := NewSpiceFactory(dram.Default())
+	factory := NewPooledSpiceFactory(dram.Default())
 	if d := initRuns(t, factory, o, 1e6, g.Nets, 1.0, nil, spiceState); d == "" {
 		t.Fatal("bit-line float: the init left no trace, the negative control is void")
 	}

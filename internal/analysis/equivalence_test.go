@@ -128,15 +128,15 @@ func TestSweepEquivalenceBehav(t *testing.T) {
 }
 
 // TestSweepEquivalenceSpice proves the same for the electrical column,
-// additionally crossing factories: the naive side builds every column
-// from scratch while the fast side recycles pooled columns through
-// Reset and serves prefixes from the replay tree.
+// additionally crossing column lifetimes: the naive side builds every
+// column from scratch while the fast side recycles pooled columns
+// through Reset and serves prefixes from the replay tree.
 func TestSweepEquivalenceSpice(t *testing.T) {
 	if testing.Short() {
 		t.Skip("transient sweeps are slow; run without -short")
 	}
 	tech := dram.Default()
-	sweepBoth(t, analysis.NewSpiceFactory(tech), analysis.NewPooledSpiceFactory(tech), mustOpen(t, 4),
+	sweepBoth(t, analysis.FreshSpiceFactory(tech), analysis.NewPooledSpiceFactory(tech), mustOpen(t, 4),
 		// The state-fault SOS shares its setup prefix with 1r1, so the
 		// second sweep exercises the replay tree.
 		[]fp.SOS{fp.NewSOS(fp.Init1, fp.R(1)), fp.NewSOS(fp.Init1)},

@@ -78,8 +78,8 @@ func TechnologyFingerprint(t dram.Technology) string {
 
 // SpiceFingerprint fingerprints the electrical model for a technology:
 // the as-built column netlist plus the full technology encoding. Use it
-// as the Model of sweeps driven by NewSpiceFactory or
-// NewPooledSpiceFactory over the same technology.
+// as the Model of sweeps driven by NewPooledSpiceFactory over the same
+// technology.
 func SpiceFingerprint(tech dram.Technology) (Fingerprint, error) {
 	col, err := dram.NewColumn(tech)
 	if err != nil {

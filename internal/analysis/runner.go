@@ -77,8 +77,8 @@ type VoltageProber interface {
 }
 
 // Factory builds a Memory with the given open injected at resistance
-// rdef. Implementations exist for the electrical column (NewSpiceFactory)
-// and the fast analytical model (behav.NewFactory).
+// rdef. Implementations exist for the electrical column
+// (NewPooledSpiceFactory) and the fast analytical model (behav.NewFactory).
 type Factory func(open defect.Open, rdef float64) (Memory, error)
 
 // injectSites applies the descriptor's full defect-site set to a
@@ -93,24 +93,6 @@ func injectSites(set func(site string, ohms float64), open defect.Open, rdef flo
 			ohms = rdef
 		}
 		set(x.Site, ohms)
-	}
-}
-
-// NewSpiceFactory returns a Factory backed by the transient-simulated
-// DRAM column. Every call builds a fresh column; prefer
-// NewPooledSpiceFactory for sweeps, which recycles columns and their
-// engines across points.
-func NewSpiceFactory(tech dram.Technology) Factory {
-	return func(open defect.Open, rdef float64) (Memory, error) {
-		col, err := dram.NewColumn(tech)
-		if err != nil {
-			return nil, err
-		}
-		injectSites(col.SetSiteResistance, open, rdef)
-		if err := col.PowerUp(); err != nil {
-			return nil, fmt.Errorf("analysis: power-up with %s at %.3g Ω: %w", open.Name(), rdef, err)
-		}
-		return &spiceMemory{col: col}, nil
 	}
 }
 
@@ -163,10 +145,10 @@ func NewPooledSpiceFactory(tech dram.Technology) Factory {
 	}
 }
 
-// spiceMemory adapts dram.Column to the Memory interface.
+// spiceMemory adapts a pooled dram.Column to the Memory interface.
 type spiceMemory struct {
 	col  *dram.Column
-	pool *columnPool // nil for unpooled memories
+	pool *columnPool
 }
 
 func (m *spiceMemory) Write(cell, bit int) error  { return m.col.Write(cell, bit) }
@@ -197,13 +179,10 @@ func (m *spiceMemory) Snapshot() any { return m.col.Snapshot() }
 // Restore implements Snapshotter.
 func (m *spiceMemory) Restore(state any) { m.col.Restore(state.(*dram.State)) }
 
-// Release implements Releaser for pooled memories; for unpooled ones it
-// is a no-op.
+// Release implements Releaser: it returns the column to its pool.
 func (m *spiceMemory) Release() {
-	if m.pool != nil {
-		m.pool.put(m.col)
-		m.col = nil
-	}
+	m.pool.put(m.col)
+	m.col = nil
 }
 
 // Outcome is the observed behaviour of one SOS application.

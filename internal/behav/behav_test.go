@@ -85,7 +85,7 @@ func TestOpen4MatchesSpiceModel(t *testing.T) {
 	o, _ := defect.ByID(4)
 	grp, _ := o.Float(defect.FloatBitLine)
 	sos := fp.NewSOS(fp.Init1, fp.R(1))
-	spice := analysis.NewSpiceFactory(dram.Default())
+	spice := analysis.NewPooledSpiceFactory(dram.Default())
 	fast := NewFactory(DefaultParams())
 
 	for _, tc := range []struct {

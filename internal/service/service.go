@@ -83,8 +83,8 @@ type Server struct {
 
 	bootMemo analysis.MemoStats
 
-	// responseWriteErrors counts batch responses that failed to reach
-	// the client after the work was done.
+	// responseWriteErrors counts responses that failed to reach the
+	// client after the work was done.
 	responseWriteErrors atomic.Uint64
 }
 
@@ -267,16 +267,29 @@ func (s *Server) cached(ctx context.Context, key store.Key, compute func(context
 	return payload, false, collapsed, err
 }
 
-// envelopeJSON wraps every cacheable response: the result payload plus
+// writeResult wraps every cacheable response: the result payload plus
 // serving metadata (never part of the stored blob).
-func writeResult(w http.ResponseWriter, payload []byte, fromStore, collapsed bool) {
+func (s *Server) writeResult(w http.ResponseWriter, payload []byte, fromStore, collapsed bool) {
 	w.Header().Set("Content-Type", "application/json")
-	fmt.Fprintf(w, `{"cached":%v,"collapsed":%v,"result":`, fromStore, collapsed)
-	w.Write(payload)
-	io.WriteString(w, "}\n")
+	_, err := fmt.Fprintf(w, `{"cached":%v,"collapsed":%v,"result":`, fromStore, collapsed)
+	if err == nil {
+		_, err = w.Write(payload)
+	}
+	if err == nil {
+		_, err = io.WriteString(w, "}\n")
+	}
+	s.countWriteError(err)
 }
 
-func writeError(w http.ResponseWriter, err error) {
+// countWriteError counts a response body that could not be written to
+// the client (typically because it hung up).
+func (s *Server) countWriteError(err error) {
+	if err != nil {
+		s.responseWriteErrors.Add(1)
+	}
+}
+
+func (s *Server) writeError(w http.ResponseWriter, err error) {
 	status := http.StatusInternalServerError
 	var ae *apiError
 	if errors.As(err, &ae) {
@@ -287,7 +300,7 @@ func writeError(w http.ResponseWriter, err error) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(map[string]string{"error": err.Error()})
+	s.countWriteError(json.NewEncoder(w).Encode(map[string]string{"error": err.Error()}))
 }
 
 func decodeBody(r io.Reader, v any) error {
@@ -319,7 +332,8 @@ func canonicalSpec(v any) (string, error) {
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
-	io.WriteString(w, `{"ok":true}`+"\n")
+	_, err := io.WriteString(w, `{"ok":true}`+"\n")
+	s.countWriteError(err)
 }
 
 // MetricsResponse is the /v1/metrics payload.
@@ -359,8 +373,9 @@ type MetricsResponse struct {
 		Spice string `json:"spice"`
 	} `json:"models"`
 	Catalog string `json:"catalog"`
-	// ResponseWriteErrors counts batch responses that could not be
-	// written to the client (typically because it hung up).
+	// ResponseWriteErrors counts responses of any endpoint (results,
+	// errors, batches, health and these metrics) whose body could not be
+	// written to the client, typically because it hung up.
 	ResponseWriteErrors uint64 `json:"response_write_errors"`
 }
 
@@ -405,7 +420,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	resp.Catalog = s.catalogFP
 	resp.ResponseWriteErrors = s.responseWriteErrors.Load()
 	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(resp)
+	s.countWriteError(json.NewEncoder(w).Encode(resp))
 }
 
 // --- inventory ---
@@ -500,9 +515,11 @@ func (s *Server) model(engine string) analysis.Fingerprint {
 	return s.behavModel
 }
 
+// factory returns a new factory per call: a spice factory's column pool
+// then lives no longer than the request that uses it.
 func (s *Server) factory(engine string) analysis.Factory {
 	if engine == "spice" {
-		return analysis.NewSpiceFactory(s.tech)
+		return analysis.NewPooledSpiceFactory(s.tech)
 	}
 	return behav.NewFactory(s.params)
 }
@@ -511,12 +528,12 @@ func (s *Server) handleInventory(w http.ResponseWriter, r *http.Request) {
 	s.countRequest("inventory")
 	var q InventoryRequest
 	if err := decodeBody(r.Body, &q); err != nil {
-		writeError(w, err)
+		s.writeError(w, err)
 		return
 	}
 	mode, err := q.normalize()
 	if err != nil {
-		writeError(w, err)
+		s.writeError(w, err)
 		return
 	}
 	var opens []defect.Open
@@ -524,7 +541,7 @@ func (s *Server) handleInventory(w http.ResponseWriter, r *http.Request) {
 		for _, id := range q.Opens {
 			o, ok := defect.ByID(id)
 			if !ok {
-				writeError(w, badRequest("unknown open %d", id))
+				s.writeError(w, badRequest("unknown open %d", id))
 				return
 			}
 			opens = append(opens, o)
@@ -532,7 +549,7 @@ func (s *Server) handleInventory(w http.ResponseWriter, r *http.Request) {
 	}
 	spec, err := canonicalSpec(&q)
 	if err != nil {
-		writeError(w, err)
+		s.writeError(w, err)
 		return
 	}
 	key := store.Key{Model: string(s.model(q.Engine)), Catalog: s.catalogFP, Kind: "inventory", Spec: spec}
@@ -552,10 +569,10 @@ func (s *Server) handleInventory(w http.ResponseWriter, r *http.Request) {
 		return report.ToInventoryJSON(rows), nil
 	})
 	if err != nil {
-		writeError(w, err)
+		s.writeError(w, err)
 		return
 	}
-	writeResult(w, payload, fromStore, collapsed)
+	s.writeResult(w, payload, fromStore, collapsed)
 }
 
 // --- march coverage ---
@@ -605,7 +622,7 @@ func (s *Server) handleCoverage(w http.ResponseWriter, r *http.Request) {
 	s.countRequest("coverage")
 	var q CoverageRequest
 	if err := decodeBody(r.Body, &q); err != nil {
-		writeError(w, err)
+		s.writeError(w, err)
 		return
 	}
 	if q.Engine == "" {
@@ -622,12 +639,12 @@ func (s *Server) handleCoverage(w http.ResponseWriter, r *http.Request) {
 	}
 	eng, err := marchEngine(q.Engine)
 	if err != nil {
-		writeError(w, err)
+		s.writeError(w, err)
 		return
 	}
 	tests, err := testsByName(q.Tests)
 	if err != nil {
-		writeError(w, err)
+		s.writeError(w, err)
 		return
 	}
 	var catalog []march.CatalogEntry
@@ -637,12 +654,12 @@ func (s *Server) handleCoverage(w http.ResponseWriter, r *http.Request) {
 	case "paper":
 		catalog = march.PaperFaultCatalog()
 	default:
-		writeError(w, badRequest("unknown catalog %q (want classical or paper)", q.Catalog))
+		s.writeError(w, badRequest("unknown catalog %q (want classical or paper)", q.Catalog))
 		return
 	}
 	spec, err := canonicalSpec(&q)
 	if err != nil {
-		writeError(w, err)
+		s.writeError(w, err)
 		return
 	}
 	// March-walk results depend on the discrete fault model only, not
@@ -662,10 +679,10 @@ func (s *Server) handleCoverage(w http.ResponseWriter, r *http.Request) {
 		return report.ToCoverageJSON(results), nil
 	})
 	if err != nil {
-		writeError(w, err)
+		s.writeError(w, err)
 		return
 	}
-	writeResult(w, payload, fromStore, collapsed)
+	s.writeResult(w, payload, fromStore, collapsed)
 }
 
 // --- two-cell certificate ---
@@ -685,11 +702,11 @@ func (s *Server) handleTwoCell(w http.ResponseWriter, r *http.Request) {
 	s.countRequest("twocell")
 	var q TwoCellRequest
 	if err := decodeBody(r.Body, &q); err != nil {
-		writeError(w, err)
+		s.writeError(w, err)
 		return
 	}
 	if q.Test == "" {
-		writeError(w, badRequest("missing march test name"))
+		s.writeError(w, badRequest("missing march test name"))
 		return
 	}
 	if q.Engine == "" {
@@ -704,28 +721,28 @@ func (s *Server) handleTwoCell(w http.ResponseWriter, r *http.Request) {
 	seen := map[int]bool{}
 	for _, d := range q.Offsets {
 		if d == 0 {
-			writeError(w, badRequest("offset 0 is not a neighbour"))
+			s.writeError(w, badRequest("offset 0 is not a neighbour"))
 			return
 		}
 		if seen[d] {
-			writeError(w, badRequest("duplicate offset %d", d))
+			s.writeError(w, badRequest("duplicate offset %d", d))
 			return
 		}
 		seen[d] = true
 	}
 	eng, err := marchEngine(q.Engine)
 	if err != nil {
-		writeError(w, err)
+		s.writeError(w, err)
 		return
 	}
 	tests, err := testsByName([]string{q.Test})
 	if err != nil {
-		writeError(w, err)
+		s.writeError(w, err)
 		return
 	}
 	spec, err := canonicalSpec(&q)
 	if err != nil {
-		writeError(w, err)
+		s.writeError(w, err)
 		return
 	}
 	key := store.Key{Model: "march:" + q.Engine, Catalog: s.catalogFP, Kind: "twocell", Spec: spec}
@@ -743,10 +760,10 @@ func (s *Server) handleTwoCell(w http.ResponseWriter, r *http.Request) {
 		return report.ToTwoCellCertificateJSON(cert), nil
 	})
 	if err != nil {
-		writeError(w, err)
+		s.writeError(w, err)
 		return
 	}
-	writeResult(w, payload, fromStore, collapsed)
+	s.writeResult(w, payload, fromStore, collapsed)
 }
 
 // --- static detection matrix ---
@@ -760,17 +777,17 @@ func (s *Server) handleMatrix(w http.ResponseWriter, r *http.Request) {
 	s.countRequest("matrix")
 	var q MatrixRequest
 	if err := decodeBody(r.Body, &q); err != nil {
-		writeError(w, err)
+		s.writeError(w, err)
 		return
 	}
 	tests, err := testsByName(q.Tests)
 	if err != nil {
-		writeError(w, err)
+		s.writeError(w, err)
 		return
 	}
 	spec, err := canonicalSpec(&q)
 	if err != nil {
-		writeError(w, err)
+		s.writeError(w, err)
 		return
 	}
 	// The prover is purely symbolic: no model, no geometry.
@@ -785,10 +802,10 @@ func (s *Server) handleMatrix(w http.ResponseWriter, r *http.Request) {
 		return report.ToDetectionMatrixJSON(m), nil
 	})
 	if err != nil {
-		writeError(w, err)
+		s.writeError(w, err)
 		return
 	}
-	writeResult(w, payload, fromStore, collapsed)
+	s.writeResult(w, payload, fromStore, collapsed)
 }
 
 // --- merge / float prediction ---
@@ -823,16 +840,16 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	s.countRequest("predict")
 	var q PredictRequest
 	if err := decodeBody(r.Body, &q); err != nil {
-		writeError(w, err)
+		s.writeError(w, err)
 		return
 	}
 	if (q.Open == 0) == (len(q.Defects) == 0) {
-		writeError(w, badRequest("want exactly one of open or defects"))
+		s.writeError(w, badRequest("want exactly one of open or defects"))
 		return
 	}
 	spec, err := canonicalSpec(&q)
 	if err != nil {
-		writeError(w, err)
+		s.writeError(w, err)
 		return
 	}
 	// Predictions depend on the netlist graph and phase model — the
@@ -874,10 +891,10 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		return report.ToMergePredictionJSON(pred), nil
 	})
 	if err != nil {
-		writeError(w, err)
+		s.writeError(w, err)
 		return
 	}
-	writeResult(w, payload, fromStore, collapsed)
+	s.writeResult(w, payload, fromStore, collapsed)
 }
 
 // --- stress matrix ---
@@ -984,12 +1001,12 @@ func (s *Server) handleStress(w http.ResponseWriter, r *http.Request) {
 	s.countRequest("stress")
 	var q StressRequest
 	if err := decodeBody(r.Body, &q); err != nil {
-		writeError(w, err)
+		s.writeError(w, err)
 		return
 	}
 	corners, mode, err := q.normalize()
 	if err != nil {
-		writeError(w, err)
+		s.writeError(w, err)
 		return
 	}
 	var opens []defect.Open
@@ -997,7 +1014,7 @@ func (s *Server) handleStress(w http.ResponseWriter, r *http.Request) {
 		for _, id := range q.Opens {
 			o, ok := defect.ByID(id)
 			if !ok {
-				writeError(w, badRequest("unknown open %d", id))
+				s.writeError(w, badRequest("unknown open %d", id))
 				return
 			}
 			opens = append(opens, o)
@@ -1005,25 +1022,25 @@ func (s *Server) handleStress(w http.ResponseWriter, r *http.Request) {
 	}
 	marchEng, err := marchEngine(q.MarchEngine)
 	if err != nil {
-		writeError(w, err)
+		s.writeError(w, err)
 		return
 	}
 	tests, err := testsByName(q.Tests)
 	if err != nil {
-		writeError(w, err)
+		s.writeError(w, err)
 		return
 	}
 	// Reject invalid corners before keying: a corner that cannot derive
 	// a lint-clean technology is a client error, not a cacheable result.
 	for _, c := range corners {
 		if _, derr := c.Derive(s.tech); derr != nil {
-			writeError(w, badRequest("%v", derr))
+			s.writeError(w, badRequest("%v", derr))
 			return
 		}
 	}
 	spec, err := canonicalSpec(&q)
 	if err != nil {
-		writeError(w, err)
+		s.writeError(w, err)
 		return
 	}
 	// The stress matrix spans derived models, but every derivation is a
@@ -1055,10 +1072,10 @@ func (s *Server) handleStress(w http.ResponseWriter, r *http.Request) {
 		return report.ToStressJSON(res), nil
 	})
 	if err != nil {
-		writeError(w, err)
+		s.writeError(w, err)
 		return
 	}
-	writeResult(w, payload, fromStore, collapsed)
+	s.writeResult(w, payload, fromStore, collapsed)
 }
 
 // --- batch ---
@@ -1092,15 +1109,15 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		Requests []BatchItem `json:"requests"`
 	}
 	if err := decodeBody(r.Body, &q); err != nil {
-		writeError(w, err)
+		s.writeError(w, err)
 		return
 	}
 	if len(q.Requests) == 0 {
-		writeError(w, badRequest("empty batch"))
+		s.writeError(w, badRequest("empty batch"))
 		return
 	}
 	if len(q.Requests) > MaxBatchItems {
-		writeError(w, badRequest("batch of %d requests exceeds the bound of %d", len(q.Requests), MaxBatchItems))
+		s.writeError(w, badRequest("batch of %d requests exceeds the bound of %d", len(q.Requests), MaxBatchItems))
 		return
 	}
 	handlers := map[string]http.HandlerFunc{
@@ -1148,7 +1165,5 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	wg.Wait()
 	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(map[string]any{"responses": results}); err != nil {
-		s.responseWriteErrors.Add(1)
-	}
+	s.countWriteError(json.NewEncoder(w).Encode(map[string]any{"responses": results}))
 }

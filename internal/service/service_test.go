@@ -666,20 +666,37 @@ func (w *failingWriter) Write([]byte) (int, error) { return 0, fmt.Errorf("clien
 
 func (w *failingWriter) WriteHeader(int) {}
 
-// TestBatchCountsResponseWriteErrors pins that a batch response that
-// cannot be written is counted in /v1/metrics rather than dropped.
+// TestBatchCountsResponseWriteErrors pins that a response that cannot
+// be written is counted in /v1/metrics rather than dropped: a batch, a
+// result served from the store, a 400 error, /healthz and /v1/metrics
+// itself each add one response_write_errors when the client has hung up.
 func TestBatchCountsResponseWriteErrors(t *testing.T) {
-	s := newTestServer(t, Config{Parallelism: 2})
-	req := httptest.NewRequest(http.MethodPost, "/v1/batch",
-		strings.NewReader(`{"requests":[{"kind":"matrix","body":{"tests":["MATS+"]}}]}`))
-	s.ServeHTTP(&failingWriter{header: http.Header{}}, req)
-	rec := httptest.NewRecorder()
-	s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/metrics", nil))
-	var m MetricsResponse
-	if err := json.Unmarshal(rec.Body.Bytes(), &m); err != nil {
-		t.Fatal(err)
+	s := newTestServer(t, Config{StoreDir: t.TempDir(), Parallelism: 2})
+	if env := postEnvelope(t, s, "/v1/inventory", smallInventory); env.Cached {
+		t.Fatal("first inventory must be computed")
 	}
-	if m.ResponseWriteErrors != 1 {
-		t.Fatalf("response_write_errors = %d, want 1", m.ResponseWriteErrors)
+	metrics := func() uint64 {
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/metrics", nil))
+		var m MetricsResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &m); err != nil {
+			t.Fatal(err)
+		}
+		return m.ResponseWriteErrors
+	}
+	for i, c := range []struct{ what, method, path, body string }{
+		{"batch", http.MethodPost, "/v1/batch", `{"requests":[{"kind":"matrix","body":{"tests":["MATS+"]}}]}`},
+		{"stored inventory hit", http.MethodPost, "/v1/inventory", smallInventory},
+		{"400 error", http.MethodPost, "/v1/inventory", `{"sweep":"nope"}`},
+		{"healthz", http.MethodGet, "/v1/healthz", ""},
+		{"metrics", http.MethodGet, "/v1/metrics", ""},
+	} {
+		s.ServeHTTP(&failingWriter{header: http.Header{}}, httptest.NewRequest(c.method, c.path, strings.NewReader(c.body)))
+		if got := metrics(); got != uint64(i+1) {
+			t.Fatalf("after a failed %s write: response_write_errors = %d, want %d", c.what, got, i+1)
+		}
+	}
+	if st := s.store.Stats(); st.Hits == 0 {
+		t.Fatal("the inventory was not served from the store")
 	}
 }

@@ -124,8 +124,8 @@ type (
 )
 
 // NewSpiceFactory returns an analysis factory backed by the electrical
-// column.
-func NewSpiceFactory(t Technology) Factory { return analysis.NewSpiceFactory(t) }
+// column, recycling columns across the points of a sweep.
+func NewSpiceFactory(t Technology) Factory { return analysis.NewPooledSpiceFactory(t) }
 
 // NewBehavFactory returns an analysis factory backed by the analytical
 // model.
